@@ -10,6 +10,13 @@ The privatizers mirror the free-alphabet ones but never leave the feasible
 set: the whole-word sampler weights each distance class by the number of
 feasible words in it, and the per-symbol sampler redistributes mass over the
 successors of the previously released state.
+
+The class sizes come from a suffix-count table that packs each
+(position, state) row of exact counts into one Python int, with a slot
+width bounded by the chain's walk counts so that no slot overflows; no
+float or fixed-width integer enters the counts.  A chain caches these
+tables, with the laws and automata built on them, for a few recent input
+words.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import string
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, log
@@ -48,6 +56,12 @@ logger = logging.getLogger(__name__)
 
 _ENUMERATION_LIMIT = 10**6
 _ROW_SUM_TOL = 1e-9
+# Input words whose ``mc-offline`` plans a chain keeps.  One word's suffix
+# table takes about 1.3 MB at n = 60 and 45 MB at n = 200 on the 50-state
+# storybook chain, so memory stays bounded under fresh inputs, while a word
+# released again and again (a repeated release, an experiment sweep) keeps
+# hitting.
+_WORD_PLAN_LIMIT = 4
 
 
 class InfeasibleWordError(ValueError):
@@ -103,8 +117,7 @@ class MarkovChain:
             tuple(int(j) for j in np.flatnonzero(mat[i] > 0)) for i in range(m)
         ]
         self._successor_sets = [frozenset(s) for s in self._successors]
-        self._suffix_cache: dict[tuple[int, ...], list[list[list[int]]]] = {}
-        self._offline_cache: dict = {}
+        self._word_plans: OrderedDict[tuple[int, ...], dict] = OrderedDict()
 
     # -- basic structure ----------------------------------------------------
 
@@ -327,39 +340,67 @@ class DistanceCounts:
         return tuple(l for l, c in enumerate(self.counts) if c > 0)
 
 
+def _word_plan(chain: MarkovChain, word: Word) -> dict:
+    """Per-word cache of ``mc-offline`` plans: the suffix table, distance
+    laws and product automata of one input word.
+
+    A chain keeps at most ``_WORD_PLAN_LIMIT`` words and evicts the least
+    recently used one, with all its plans, first.
+    """
+    plans = chain._word_plans
+    key = word.symbols
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = {}
+        if len(plans) > _WORD_PLAN_LIMIT:
+            plans.popitem(last=False)
+    else:
+        plans.move_to_end(key)
+    return plan
+
+
 def _suffix_counts(
     chain: MarkovChain, word: Word
-) -> list[list[list[int]]]:
-    """Suffix table ``W[i][s][r]``: feasible completions from position ``i``
-    in state ``s`` that mismatch the reference suffix in exactly ``r``
-    places.  Computed once per (chain, word) and cached on the chain."""
-    key = word.symbols
-    cached = chain._suffix_cache.get(key)
-    if cached is not None:
-        return cached
+) -> tuple[list[list[int]], int]:
+    """Bit-packed suffix table and its slot width ``B``.
+
+    ``W[i][s][r]`` counts the feasible completions from position ``i`` in
+    state ``s`` that mismatch the reference suffix in exactly ``r`` places.
+    ``table[i][s]`` packs one row of it into a Python int, with the count
+    for ``q = n - i - r`` matching places in slot ``q`` (bits ``q*B`` up to
+    ``(q+1)*B``).  Going back one position, only the reference symbol's row
+    moves up a slot (one shift by ``B`` bits), and the sum over successors
+    adds whole packed rows with big-int arithmetic.
+
+    Exactness: every slot of ``table[i][s]``, and every partial sum formed
+    while building it, is at most the number of length-``n - i`` walks
+    from ``s``.  That number never falls as the length grows (every state
+    has a successor), so the largest number of length-``n`` walks from any
+    state bounds every slot, and ``B`` is its bit length: no slot carries
+    into the next.  Computed once per (chain, word) and cached on the
+    chain.
+    """
     if word.alphabet != chain.states:
         raise ValueError("word is not over this chain's state set")
-    n = len(word)
-    m = chain.n_states
-    table: list[list[list[int]]] = [
-        [[0] * (n - i + 1) for _ in range(m)] for i in range(n + 1)
-    ]
-    for s in range(m):
-        table[n][s][0] = 1
-    for i in range(n - 1, -1, -1):
-        target = word.symbols[i]
-        for s in range(m):
-            row = table[i][s]
-            for succ in chain.successors(s):
-                nxt = table[i + 1][succ]
-                if succ == target:
-                    for r in range(n - i):
-                        row[r] += nxt[r]
-                else:
-                    for r in range(1, n - i + 1):
-                        row[r] += nxt[r - 1]
-    chain._suffix_cache[key] = table
-    return table
+    plan = _word_plan(chain, word)
+    hit = plan.get("suffix")
+    if hit is not None:
+        return hit
+    successors = chain._successors
+    walks = [1] * chain.n_states
+    for _ in range(len(word)):
+        walks = [sum(map(walks.__getitem__, succ)) for succ in successors]
+    width = max(walks).bit_length()
+    row = [1] * chain.n_states
+    table = [row]
+    for target in reversed(word.symbols):
+        moved = row.copy()
+        moved[target] = row[target] << width
+        row = [sum(map(moved.__getitem__, succ)) for succ in successors]
+        table.append(row)
+    table.reverse()
+    plan["suffix"] = (table, width)
+    return table, width
 
 
 def feasible_distance_counts(chain: MarkovChain, word: Word) -> DistanceCounts:
@@ -368,8 +409,13 @@ def feasible_distance_counts(chain: MarkovChain, word: Word) -> DistanceCounts:
     One dynamic program over (position, state) pairs yields the whole
     distance profile; counts are exact integers.
     """
-    table = _suffix_counts(chain, word)
-    return DistanceCounts(tuple(table[0][chain.initial]))
+    table, width = _suffix_counts(chain, word)
+    packed = table[0][chain.initial]
+    mask = (1 << width) - 1
+    n = len(word)
+    return DistanceCounts(
+        tuple((packed >> ((n - r) * width)) & mask for r in range(n + 1))
+    )
 
 
 class ProductDistanceAutomaton:
@@ -391,7 +437,8 @@ class ProductDistanceAutomaton:
         self.word = word
         self.distance = distance
         self._n = n
-        self._table = _suffix_counts(chain, word)
+        self._table, self._width = _suffix_counts(chain, word)
+        self._mask = (1 << self._width) - 1
         if self.language_size == 0:
             raise ValueError(
                 f"no feasible word lies at distance exactly {distance} "
@@ -406,7 +453,8 @@ class ProductDistanceAutomaton:
         r = self.distance - e
         if not 0 <= r <= self._n - i:
             return 0
-        return self._table[i][state][r]
+        slot = self._n - i - r
+        return (self._table[i][state] >> (slot * self._width)) & self._mask
 
     @property
     def language_size(self) -> int:
@@ -505,8 +553,9 @@ class ProductDistanceAutomaton:
 def _offline_plan(
     chain: MarkovChain, word: Word, epsilon: float, k: int
 ) -> DistanceDistribution:
-    key = ("distance-law", word.symbols, epsilon, k)
-    hit = chain._offline_cache.get(key)
+    plan = _word_plan(chain, word)
+    key = ("distance-law", epsilon, k)
+    hit = plan.get(key)
     if hit is not None:
         return hit
     counts = feasible_distance_counts(chain, word)
@@ -523,18 +572,18 @@ def _offline_plan(
         log_weights[l] = log(counts[l]) - epsilon * l / (2.0 * k)
     probs = np.exp(log_weights - logsumexp(log_weights))
     dist = DistanceDistribution(probs / probs.sum())
-    chain._offline_cache[key] = dist
+    plan[key] = dist
     return dist
 
 
 def _product_automaton(
     chain: MarkovChain, word: Word, distance: int
 ) -> ProductDistanceAutomaton:
-    key = ("automaton", word.symbols, distance)
-    hit = chain._offline_cache.get(key)
+    plan = _word_plan(chain, word)
+    key = ("automaton", distance)
+    hit = plan.get(key)
     if hit is None:
-        hit = ProductDistanceAutomaton(chain, word, distance)
-        chain._offline_cache[key] = hit
+        hit = plan[key] = ProductDistanceAutomaton(chain, word, distance)
     return hit
 
 

@@ -60,7 +60,14 @@ class DistanceDistribution:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return np.cumsum(self.probabilities)
+        # The rounded cumulative sum can end just below 1.  Raising it to 1
+        # from the first index where it reaches its final value keeps every
+        # uniform in range and leaves draws below the old total unchanged;
+        # later distances are impossible or too unlikely to move the sum.
+        # A total just above 1 is left as it is, so no draw below it moves.
+        cdf = self.probabilities.cumsum()
+        cdf[cdf.searchsorted(cdf[-1]):] = max(cdf[-1], 1.0)
+        return cdf
 
     def sample(self, rng: np.random.Generator) -> int:
         """Inverse-CDF draw; consumes exactly one uniform."""

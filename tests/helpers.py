@@ -75,3 +75,36 @@ def random_chain(seed: int, n_states: int = 4) -> MarkovChain:
         # retry until short feasible words exist beyond a single path
         if chain.count_feasible_words(3) >= 4:
             return chain
+
+
+def loop_suffix_table(chain: MarkovChain, word: Word) -> list[list[list[int]]]:
+    """Unpacked suffix table ``W[i][s][r]`` by the direct triple loop over
+    position, successor and distance: feasible completions from position
+    ``i`` in state ``s`` mismatching the reference suffix in ``r`` places."""
+    n, m = len(word), chain.n_states
+    table = [[[0] * (n - i + 1) for _ in range(m)] for i in range(n + 1)]
+    for s in range(m):
+        table[n][s][0] = 1
+    for i in range(n - 1, -1, -1):
+        target = word.symbols[i]
+        for s in range(m):
+            row = table[i][s]
+            for succ in chain.successors(s):
+                nxt = table[i + 1][succ]
+                if succ == target:
+                    for r in range(n - i):
+                        row[r] += nxt[r]
+                else:
+                    for r in range(1, n - i + 1):
+                        row[r] += nxt[r - 1]
+    return table
+
+
+class TopUniformRng:
+    """Generator stand-in whose every uniform is the largest float below 1."""
+
+    def random(self) -> float:
+        return float(np.nextafter(1.0, 0.0))
+
+    def integers(self, high: int) -> int:
+        return 0

@@ -1,7 +1,9 @@
 import json
 import logging
+import random
 from fractions import Fraction
 from math import comb, exp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,16 @@ from worddp import (
     privatize_markov_online_step,
     tokenize,
 )
-from helpers import brute_feasible_words, chi_square_pvalue, random_chain
+from worddp.markov import _WORD_PLAN_LIMIT
+from helpers import (
+    TopUniformRng,
+    brute_feasible_words,
+    chi_square_pvalue,
+    loop_suffix_table,
+    random_chain,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "mc_offline_golden.json"
 
 
 def cycle_chain() -> MarkovChain:
@@ -248,6 +259,76 @@ class TestDistanceCounts:
         assert counts[0] == 0
 
 
+def walk(chain: MarkovChain, rnd: random.Random, n: int) -> Word:
+    """A feasible word taking a uniformly chosen successor at every step."""
+    prev, symbols = chain.initial, []
+    for _ in range(n):
+        prev = rnd.choice(chain.successors(prev))
+        symbols.append(prev)
+    return Word(tuple(symbols), chain.states)
+
+
+class TestPackedSuffixTable:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 4),
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_enumeration_on_random_chains(self, seed, m, symbols):
+        chain = random_chain(seed, m)
+        # any reference word: counting does not need a feasible one
+        word = Word(tuple(s % m for s in symbols), chain.states)
+        n = len(word)
+        brute = [0] * (n + 1)
+        for w in brute_feasible_words(chain, n):
+            brute[hamming_distance(w, word)] += 1
+        assert list(feasible_distance_counts(chain, word)) == brute
+
+    def test_complete_chain_counts_beyond_int64(self):
+        n, m = 80, 5
+        chain = complete_chain(m)
+        word = Word(tuple(i % m for i in range(n)), chain.states)
+        counts = feasible_distance_counts(chain, word)
+        assert list(counts) == [comb(n, r) * (m - 1) ** r for r in range(n + 1)]
+        assert max(counts) > 2**64
+        # the automaton reads single slots of the same packed rows
+        automaton = ProductDistanceAutomaton(chain, word, 60)
+        for i, e in [(0, 0), (10, 3), (40, 25), (79, 59), (80, 60)]:
+            assert automaton.path_count(i, e, 1) == comb(n - i, 60 - e) * (
+                m - 1
+            ) ** (60 - e)
+
+    @pytest.mark.parametrize("n", [15, 60, 200])
+    def test_storybook_counts_equal_loop_reference(
+        self, storybook_chain, sample_tokens, n
+    ):
+        chain = storybook_chain.with_initial("anywhere")
+        if n == 15:
+            word = chain.word(sample_tokens)
+        else:
+            word = walk(chain, random.Random(n), n)
+        counts = feasible_distance_counts(chain, word)
+        reference = loop_suffix_table(chain, word)
+        assert counts.counts == tuple(reference[0][chain.initial])
+        assert all(type(c) is int for c in counts)
+        assert counts.total() == chain.count_feasible_words(n)
+
+    def test_path_counts_equal_loop_reference(self, storybook_chain, sample_tokens):
+        chain = storybook_chain.with_initial("anywhere")
+        word = chain.word(sample_tokens)
+        n = len(word)
+        reference = loop_suffix_table(chain, word)
+        for distance in (0, 4, 9, n):
+            automaton = ProductDistanceAutomaton(chain, word, distance)
+            for i in range(n + 1):
+                for e in range(distance + 1):
+                    r = distance - e
+                    for s in range(chain.n_states):
+                        expected = reference[i][s][r] if r <= n - i else 0
+                        assert automaton.path_count(i, e, s) == expected
+
+
 class TestProductAutomaton:
     def test_language_is_distance_slice_of_feasible_set(self, four_state_chain):
         word = four_state_chain.word(["s1", "s2", "s3"])
@@ -389,6 +470,63 @@ class TestMarkovOffline:
         )
         expected = np.array(dist.probabilities) * draws
         assert chi_square_pvalue(observed, expected) > 1e-4
+
+    def test_top_uniform_releases_a_feasible_word(self, four_state_chain):
+        # the rounded cumulative sum of this word's distance law ends below 1
+        word = four_state_chain.word(["s3", "s3", "s3"])
+        cfg = MechanismConfig(epsilon=2.0, k=1)
+        out = privatize_markov_offline(
+            four_state_chain, word, cfg, rng=TopUniformRng()
+        )
+        assert four_state_chain.is_feasible(out)
+        support = feasible_distance_counts(four_state_chain, word).support()
+        assert hamming_distance(word, out) == support[-1]
+
+    def test_seeded_outputs_match_golden_file(
+        self, storybook_chain, four_state_chain
+    ):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        chains = {"storybook": storybook_chain, "four-state": four_state_chain}
+        for case in golden["cases"]:
+            chain = chains[case["chain"]].with_initial(case["start"])
+            word = chain.word(case["word"].split())
+            for eps in golden["epsilons"]:
+                cfg = MechanismConfig(epsilon=eps, k=1)
+                released = [
+                    privatize_markov_offline(chain, word, cfg, make_rng(seed)).text()
+                    for seed in golden["seeds"]
+                ]
+                assert released == case["releases"][repr(eps)], case["name"]
+
+
+class TestWordPlanCache:
+    def test_bounded_under_distinct_words(self, storybook_chain):
+        chain = storybook_chain.with_initial("anywhere")
+        rnd = random.Random(5)
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        words = []
+        while len(words) < 100:
+            word = walk(chain, rnd, 12)
+            if word not in words:
+                words.append(word)
+        for word in words:
+            privatize_markov_offline(chain, word, cfg, make_rng(0))
+        assert len(chain._word_plans) == _WORD_PLAN_LIMIT
+        assert list(chain._word_plans) == [
+            w.symbols for w in words[-_WORD_PLAN_LIMIT:]
+        ]
+
+    def test_repeated_word_stays_warm(self, storybook_chain, sample_tokens):
+        chain = storybook_chain.with_initial("anywhere")
+        sentence = chain.word(sample_tokens)
+        rnd = random.Random(6)
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        privatize_markov_offline(chain, sentence, cfg, make_rng(0))
+        plan = chain._word_plans[sentence.symbols]
+        for _ in range(3 * _WORD_PLAN_LIMIT):
+            privatize_markov_offline(chain, walk(chain, rnd, 15), cfg, make_rng(0))
+            privatize_markov_offline(chain, sentence, cfg, make_rng(0))
+        assert chain._word_plans[sentence.symbols] is plan
 
 
 class TestMarkovOnlinePolicy:

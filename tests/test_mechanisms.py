@@ -20,7 +20,7 @@ from worddp import (
     privatize_online,
     privatize_online_step,
 )
-from helpers import chi_square_pvalue
+from helpers import TopUniformRng, chi_square_pvalue
 
 AB3 = Alphabet(("a", "b", "c"))
 
@@ -117,6 +117,31 @@ class TestDistanceDistribution:
         expected = np.array(dist.probabilities) * draws
         assert chi_square_pvalue(counts, expected) > 1e-4
 
+    def test_uniform_above_rounded_cdf_total_stays_in_range(self):
+        # the rounded cumulative sum of this law ends below 1
+        dist = distance_distribution(1, 10, 0.5, 1)
+        assert np.cumsum(dist.probabilities)[-1] < 1.0
+        assert dist.sample(TopUniformRng()) == 1
+
+    @given(
+        st.integers(1, 40),
+        st.sampled_from([2, 3, 5, 10, 50]),
+        st.floats(0.0, 20.0),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draws_below_rounded_total_unchanged(self, n, m, epsilon, u):
+        dist = distance_distribution(n, m, epsilon, 1)
+        cumulative = np.cumsum(dist.probabilities)
+        u = u * cumulative[-1]
+
+        class Fixed:
+            def random(self):
+                return u
+
+        expected = int(np.searchsorted(cumulative, u, side="right"))
+        assert dist.sample(Fixed()) == expected
+
 
 class TestPrivatizeOffline:
     def test_echo_at_huge_epsilon(self):
@@ -157,6 +182,13 @@ class TestPrivatizeOffline:
         )
         expected = np.array(dist.probabilities) * draws
         assert chi_square_pvalue(observed, expected) > 1e-4
+
+    def test_top_uniform_releases_a_word(self):
+        ab = Alphabet(tuple("abcdefghij"))
+        word = Word((0,), ab)
+        cfg = MechanismConfig(epsilon=0.5, k=1)
+        out = privatize_offline(word, cfg, rng=TopUniformRng())
+        assert len(out) == 1 and hamming_distance(word, out) == 1
 
     def test_scales_to_realistic_words(self):
         ab = Alphabet(tuple(f"t{i}" for i in range(50)))
