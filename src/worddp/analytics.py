@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from worddp.markov import DistanceCounts, MarkovChain
+from worddp.mechanisms import _logsumexp
 
 __all__ = [
     "Moments",
@@ -111,7 +111,7 @@ def markov_offline_bounds(
     succ = [chain.n_successors(s) for s in range(chain.n_states)]
     n_min, n_max = min(succ), max(succ)
     decay = -epsilon / (2.0 * k)
-    log_z = logsumexp(
+    log_z = _logsumexp(
         [log(counts[l]) + decay * l for l in counts.support()]
     )
     lower_rate = n_min - 1

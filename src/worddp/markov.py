@@ -16,7 +16,9 @@ The class sizes come from a suffix-count table that packs each
 width bounded by the chain's walk counts so that no slot overflows; no
 float or fixed-width integer enters the counts.  A chain caches these
 tables, with the laws and automata built on them, for a few recent input
-words.
+words.  The per-symbol sampler's plan depends on public data only: a chain
+keeps one policy per recent (epsilon, k), and a policy fills its CDF rows
+per previously released state.
 """
 
 from __future__ import annotations
@@ -24,18 +26,19 @@ from __future__ import annotations
 import json
 import logging
 import string
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import exp, log
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from worddp.core import Alphabet, MechanismConfig, Word, encode_word
-from worddp.mechanisms import DistanceDistribution
+from worddp.mechanisms import DistanceDistribution, _logsumexp
 
 __all__ = [
     "InfeasibleWordError",
@@ -62,6 +65,8 @@ _ROW_SUM_TOL = 1e-9
 # released again and again (a repeated release, an experiment sweep) keeps
 # hitting.
 _WORD_PLAN_LIMIT = 4
+# (epsilon, k) pairs whose ``mc-online`` policies a chain keeps.
+_ONLINE_POLICY_LIMIT = 8
 
 
 class InfeasibleWordError(ValueError):
@@ -118,6 +123,9 @@ class MarkovChain:
         ]
         self._successor_sets = [frozenset(s) for s in self._successors]
         self._word_plans: OrderedDict[tuple[int, ...], dict] = OrderedDict()
+        self._online_policies: OrderedDict[
+            tuple[float, int], "MarkovOnlinePolicy"
+        ] = OrderedDict()
 
     # -- basic structure ----------------------------------------------------
 
@@ -570,7 +578,7 @@ def _offline_plan(
     for l in support:
         # log of an exact integer count; safe for counts beyond float range
         log_weights[l] = log(counts[l]) - epsilon * l / (2.0 * k)
-    probs = np.exp(log_weights - logsumexp(log_weights))
+    probs = np.exp(log_weights - _logsumexp(log_weights))
     dist = DistanceDistribution(probs / probs.sum())
     plan[key] = dist
     return dist
@@ -617,6 +625,13 @@ class MarkovOnlinePolicy:
     state is kept with probability ``tau = 1/((N-1)*exp(-epsilon/k) + 1)``
     when it is reachable; otherwise the ``N`` successors share the mass
     uniformly.  Every output continues a feasible path.
+
+    Sampling reads a table filled per previous output: on the first step
+    from ``s_prev`` the policy builds the CDF row over its successors for
+    every true state at once, one row per reachable true state and one
+    shared row for all the others.  What gets built therefore depends on
+    the released states only, never on the secret true state.  A filled
+    entry holds ``N * (N + 1)`` floats.
     """
 
     def __init__(self, chain: MarkovChain, epsilon: float, k: int):
@@ -628,14 +643,22 @@ class MarkovOnlinePolicy:
         self.epsilon = epsilon
         self.k = k
         self._decay = exp(-epsilon / k)
-        self._sample_cache: dict[
-            tuple[int, int], tuple[tuple[int, ...], np.ndarray]
-        ] = {}
+        # previous output -> (its successors, CDF row per true state)
+        self._table: dict[int, tuple[tuple[int, ...], list[list[float]]]] = {}
 
     def tau(self, previous_output: int) -> float:
         """Retention probability of a reachable true state."""
         n_succ = self.chain.n_successors(previous_output)
         return 1.0 / ((n_succ - 1) * self._decay + 1.0)
+
+    def _masses(self, previous_output: int) -> tuple[float, float, float]:
+        """Per-successor masses after ``previous_output``: of a reachable
+        true state, of each other successor beside it, and of every
+        successor when the true state is unreachable."""
+        n_succ = self.chain.n_successors(previous_output)
+        tau = self.tau(previous_output)
+        other = (1.0 - tau) / (n_succ - 1) if n_succ > 1 else 0.0
+        return tau, other, 1.0 / n_succ
 
     def probability(
         self, output: int, true_state: int, previous_output: int
@@ -644,13 +667,10 @@ class MarkovOnlinePolicy:
         chain = self.chain
         if not chain.can_follow(output, previous_output):
             return 0.0
-        n_succ = chain.n_successors(previous_output)
+        kept, other, unconditioned = self._masses(previous_output)
         if chain.can_follow(true_state, previous_output):
-            tau = self.tau(previous_output)
-            if output == true_state:
-                return tau
-            return (1.0 - tau) / (n_succ - 1)
-        return 1.0 / n_succ
+            return kept if output == true_state else other
+        return unconditioned
 
     def probabilities(self, true_state: int, previous_output: int) -> np.ndarray:
         """Full conditional row over the state set."""
@@ -659,32 +679,57 @@ class MarkovOnlinePolicy:
             row[s] = self.probability(s, true_state, previous_output)
         return row
 
-    def _step(
-        self, true_state: int, previous_output: int
-    ) -> tuple[tuple[int, ...], np.ndarray]:
-        key = (true_state, previous_output)
-        hit = self._sample_cache.get(key)
+    def _rows(
+        self, previous_output: int
+    ) -> tuple[tuple[int, ...], list[list[float]]]:
+        """Successors of ``previous_output`` and the CDF row over them for
+        each true state, built for every true state on the first call.
+
+        Each row is the sequential float cumsum of the :meth:`probability`
+        values, as ``np.cumsum`` would give it.
+        """
+        hit = self._table.get(previous_output)
         if hit is not None:
             return hit
         succs = self.chain.successors(previous_output)
-        probs = [self.probability(s, true_state, previous_output) for s in succs]
-        entry = (succs, np.cumsum(probs))
-        self._sample_cache[key] = entry
+        kept, other, unconditioned = self._masses(previous_output)
+        shared = list(accumulate([unconditioned] * len(succs)))
+        rows = [shared] * self.chain.n_states
+        for place, true_state in enumerate(succs):
+            masses = [other] * len(succs)
+            masses[place] = kept
+            rows[true_state] = list(accumulate(masses))
+        entry = self._table[previous_output] = (succs, rows)
         return entry
 
     def sample(
         self, true_state: int, previous_output: int, rng: np.random.Generator
     ) -> int:
         """Draw the released state; consumes exactly one uniform."""
-        succs, cdf = self._step(true_state, previous_output)
-        choice = int(np.searchsorted(cdf, rng.random(), side="right"))
+        succs, rows = self._rows(previous_output)
+        choice = bisect_right(rows[true_state], rng.random())
         return succs[min(choice, len(succs) - 1)]
 
 
 def markov_online_policy(
     chain: MarkovChain, epsilon: float, k: int
 ) -> MarkovOnlinePolicy:
-    return MarkovOnlinePolicy(chain, epsilon, k)
+    """The chain's policy for ``(epsilon, k)``, built on first use.
+
+    A chain keeps the policies of its ``_ONLINE_POLICY_LIMIT`` most recently
+    used parameter pairs, so their tables carry over from one release to
+    the next.
+    """
+    policies = chain._online_policies
+    key = (epsilon, k)
+    policy = policies.get(key)
+    if policy is None:
+        policy = policies[key] = MarkovOnlinePolicy(chain, epsilon, k)
+        if len(policies) > _ONLINE_POLICY_LIMIT:
+            policies.popitem(last=False)
+    else:
+        policies.move_to_end(key)
+    return policy
 
 
 def privatize_markov_online_step(
@@ -728,8 +773,11 @@ def privatize_markov_online(
         prev = chain.states.index(initial_output)
     else:
         prev = int(initial_output)
+    if not 0 <= prev < chain.n_states:
+        raise ValueError(f"previous output index {prev} out of range")
+    sample = policy.sample
     symbols = []
     for s in word.symbols:
-        prev = privatize_markov_online_step(s, prev, policy, rng)
+        prev = sample(s, prev, rng)
         symbols.append(prev)
     return Word(tuple(symbols), chain.states)

@@ -5,7 +5,8 @@ Two samplers share the same output law family:
 * :func:`privatize_offline` draws a target Hamming distance from a
   closed-form distribution and then a uniform word at that exact distance,
   giving the exponential-mechanism law over the whole word space without
-  enumerating it.
+  enumerating it.  The uniform word comes from a closed-form walk of the
+  exact-distance automaton, so nothing is built or kept per input word.
 * :func:`privatize_online` perturbs one symbol at a time with a
   randomized-response rule, so symbols can be released as they arrive.
 
@@ -17,12 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import exp
+from math import exp, lgamma
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from worddp.automaton import DistanceAutomaton
 from worddp.core import MechanismConfig, Word
 
 __all__ = [
@@ -81,6 +80,22 @@ class DistanceDistribution:
         return float(((np.arange(self.n + 1) - mu) ** 2) @ self.probabilities)
 
 
+def _logsumexp(values) -> float:
+    """``log(sum(exp(values)))`` for a vector with a finite maximum.
+
+    The entries equal to the maximum are summed as a count and the rest
+    relative to it, the same steps, in the same order, as
+    ``scipy.special.logsumexp`` takes in scipy 1.17.
+    """
+    a = np.asarray(values, dtype=float)
+    top = a.max()
+    ties = a == top
+    count = ties.sum(dtype=float)
+    rest = np.exp(np.where(ties, -np.inf, a) - top).sum() / count
+    return float(np.log1p(rest) + np.log(count) + top)
+
+
+@lru_cache(maxsize=128)
 def distance_distribution(
     n: int, m: int, epsilon: float, k: int
 ) -> DistanceDistribution:
@@ -90,6 +105,9 @@ def distance_distribution(
     the size of the distance-``l`` class times the per-word weight.  Weights
     are assembled in log space so large ``n`` and ``m`` cannot overflow.
     A single-symbol alphabet is degenerate and yields ``p(0) = 1``.
+
+    The law depends on public parameters only, so it is cached on them; the
+    returned distribution is immutable.
     """
     if n < 1:
         raise ValueError("word length n must be at least 1")
@@ -104,20 +122,28 @@ def distance_distribution(
         probs[0] = 1.0
         return DistanceDistribution(probs)
     ell = np.arange(n + 1, dtype=float)
+    log_factorial = np.array([lgamma(x + 1) for x in range(n + 1)])
     log_class_size = (
-        gammaln(n + 1)
-        - gammaln(ell + 1)
-        - gammaln(n - ell + 1)
+        log_factorial[n]
+        - log_factorial
+        - log_factorial[::-1]
         + ell * np.log(m - 1)
     )
     log_weights = log_class_size - epsilon * ell / (2.0 * k)
-    probs = np.exp(log_weights - logsumexp(log_weights))
+    probs = np.exp(log_weights - _logsumexp(log_weights))
     return DistanceDistribution(probs / probs.sum())
 
 
-@lru_cache(maxsize=512)
-def _policy_automaton(word: Word, distance: int) -> DistanceAutomaton:
-    return DistanceAutomaton(word, distance).synthesize_policy()
+def _match_probability(remaining: int, needed: int) -> float:
+    """Probability of keeping the reference symbol with ``remaining``
+    positions left and ``needed`` mismatches still to place.
+
+    This is the exact-distance automaton's ``V(i+1, e) / V(i, e)`` with
+    ``V(i, e) = C(r, d) * (m-1)^d``, ``r = n - i`` and ``d = j - e``, which
+    reduces to ``(r - d) / r``.  Both are correctly rounded quotients of the
+    same rational, so the floats are identical.
+    """
+    return (remaining - needed) / remaining
 
 
 def privatize_offline(
@@ -127,15 +153,25 @@ def privatize_offline(
 
     Draws the output distance first (one uniform), then walks the
     exact-distance automaton for that target to pick a word uniformly
-    within the class.
+    within the class: one uniform per position, kept with
+    :func:`_match_probability`, plus one integer draw selecting the
+    substitute at each mismatch.  The walk is the automaton's
+    :meth:`~worddp.automaton.DistanceAutomaton.sample` in closed form and
+    consumes the stream the same way, without building the automaton.
     """
     if rng is None:
         rng = config.rng()
-    dist = distance_distribution(
-        len(word), len(word.alphabet), config.epsilon, config.k
-    )
-    target = dist.sample(rng)
-    return _policy_automaton(word, target).sample(rng)
+    n, m = len(word), len(word.alphabet)
+    needed = distance_distribution(n, m, config.epsilon, config.k).sample(rng)
+    random, integers = rng.random, rng.integers
+    symbols = []
+    for i, x_i in enumerate(word.symbols):
+        if random() < _match_probability(n - i, needed):
+            symbols.append(x_i)
+        else:
+            symbols.append((x_i + 1 + int(integers(m - 1))) % m)
+            needed -= 1
+    return Word(tuple(symbols), word.alphabet)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from worddp.automaton import DistanceAutomaton
 from worddp.core import Alphabet, MechanismConfig, Word, hamming_distance
 from worddp.markov import (
     MarkovChain,
@@ -25,7 +23,13 @@ from worddp.markov import (
     _offline_plan,
     markov_online_policy,
 )
-from worddp.mechanisms import OnlinePolicy, distance_distribution, online_policy
+from worddp.mechanisms import (
+    OnlinePolicy,
+    _logsumexp,
+    _match_probability,
+    distance_distribution,
+    online_policy,
+)
 
 __all__ = [
     "OutputDistribution",
@@ -110,7 +114,7 @@ def exponential_mechanism(
         )
     d = np.array([hamming_distance(word, w) for w in words], dtype=float)
     log_w = -epsilon * d / (2.0 * k)
-    probs = np.exp(log_w - logsumexp(log_w))
+    probs = np.exp(log_w - _logsumexp(log_w))
     return OutputDistribution(words, probs / probs.sum())
 
 
@@ -125,23 +129,29 @@ def _check_exact_size(n: int, m: int) -> None:
 def exact_offline_law(word: Word, config: MechanismConfig) -> OutputDistribution:
     """Exact law of the whole-word sampler, via its own components.
 
-    Combines the implemented distance law with the implemented automaton
-    run probabilities, enumerated over the full word space.
+    Combines the implemented distance law with the step probabilities the
+    release walk uses, enumerated over the full word space: each position
+    keeps the input symbol with :func:`_match_probability` and otherwise
+    emits each of the other ``m - 1`` symbols with an equal share.
     """
     n, m = len(word), len(word.alphabet)
     _check_exact_size(n, m)
     dist = distance_distribution(n, m, config.epsilon, config.k)
-    probs: dict[Word, float] = {}
-    for target in range(n + 1):
-        p_class = dist[target]
-        if p_class == 0.0:
-            continue
-        automaton = DistanceAutomaton(word, target).synthesize_policy()
-        for w in automaton.iter_language():
-            probs[w] = p_class * automaton.run_probability(w)
     support = all_words(word.alphabet, n)
-    vec = np.array([probs.get(w, 0.0) for w in support])
-    return OutputDistribution(tuple(support), vec / vec.sum())
+    vec = []
+    for w in support:
+        needed = hamming_distance(word, w)
+        p = dist[needed]
+        for i, (x_i, w_i) in enumerate(zip(word.symbols, w.symbols)):
+            keep = _match_probability(n - i, needed)
+            if x_i == w_i:
+                p *= keep
+            else:
+                p *= (1.0 - keep) / (m - 1)
+                needed -= 1
+        vec.append(p)
+    arr = np.array(vec)
+    return OutputDistribution(tuple(support), arr / arr.sum())
 
 
 def exact_online_law(

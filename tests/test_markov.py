@@ -28,7 +28,7 @@ from worddp import (
     privatize_markov_online_step,
     tokenize,
 )
-from worddp.markov import _WORD_PLAN_LIMIT
+from worddp.markov import _ONLINE_POLICY_LIMIT, _WORD_PLAN_LIMIT, MarkovOnlinePolicy
 from helpers import (
     TopUniformRng,
     brute_feasible_words,
@@ -38,6 +38,7 @@ from helpers import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "mc_offline_golden.json"
+ONLINE_GOLDEN = Path(__file__).resolve().parent / "data" / "mc_online_golden.json"
 
 
 def cycle_chain() -> MarkovChain:
@@ -645,6 +646,93 @@ class TestMarkovOnline:
         assert privatize_markov_online(
             four_state_chain, word, cfg
         ) == privatize_markov_online(four_state_chain, word, cfg)
+
+
+class TestMarkovOnlineTable:
+    @pytest.mark.parametrize("name", ["storybook", "four-state"])
+    def test_rows_equal_cumsum_of_probabilities(
+        self, name, storybook_chain, four_state_chain
+    ):
+        chain = {"storybook": storybook_chain, "four-state": four_state_chain}[name]
+        unreachable = forced = 0
+        for eps in (0.0, 0.7, 5.0):
+            pol = MarkovOnlinePolicy(chain, eps, 1)
+            for prev in range(chain.n_states):
+                succs, rows = pol._rows(prev)
+                assert succs == chain.successors(prev)
+                forced += len(succs) == 1
+                for true_state in range(chain.n_states):
+                    unreachable += not chain.can_follow(true_state, prev)
+                    probs = [pol.probability(s, true_state, prev) for s in succs]
+                    assert rows[true_state] == np.cumsum(probs).tolist()
+        assert unreachable > 0
+        assert forced > 0 or name == "four-state"
+
+    def test_seeded_outputs_match_golden_file(
+        self, storybook_chain, four_state_chain
+    ):
+        # releases made with one np.cumsum row per (true state, previous
+        # output) pair, which the per-output table must reproduce
+        golden = json.loads(ONLINE_GOLDEN.read_text(encoding="utf-8"))
+        chains = {"storybook": storybook_chain, "four-state": four_state_chain}
+        for case in golden["cases"]:
+            chain = chains[case["chain"]]
+            word = chain.word(case["word"].split())
+            for eps in golden["epsilons"]:
+                cfg = MechanismConfig(epsilon=eps, k=golden["k"])
+                released = [
+                    privatize_markov_online(
+                        chain, word, cfg, initial_output=case["start"],
+                        rng=make_rng(seed),
+                    ).text()
+                    for seed in case["seeds"]
+                ]
+                assert released == case["releases"][repr(eps)], case["name"]
+
+    def test_filled_rows_are_the_released_prefix(
+        self, storybook_chain, sample_tokens
+    ):
+        rnd = random.Random(9)
+        for seed in range(5):
+            chain = storybook_chain.with_initial("anywhere")  # empty caches
+            start = rnd.randrange(chain.n_states)
+            word = chain.word(sample_tokens) if seed == 0 else walk(chain, rnd, 20)
+            cfg = MechanismConfig(epsilon=1.0, k=1)
+            out = privatize_markov_online(
+                chain, word, cfg, initial_output=start, rng=make_rng(seed)
+            )
+            pol = markov_online_policy(chain, 1.0, 1)
+            assert set(pol._table) == {start, *out.symbols[:-1]}
+
+    def test_policy_cache_is_bounded(self, four_state_chain):
+        chain = four_state_chain.with_initial("s0")
+        word = chain.word(["s1", "s2", "s3"])
+        epsilons = [0.1 * i for i in range(40)]
+        for eps in epsilons:
+            cfg = MechanismConfig(epsilon=eps, k=1)
+            privatize_markov_online(chain, word, cfg, rng=make_rng(0))
+            assert len(chain._online_policies) <= _ONLINE_POLICY_LIMIT
+        assert list(chain._online_policies) == [
+            (eps, 1) for eps in epsilons[-_ONLINE_POLICY_LIMIT:]
+        ]
+
+    def test_policy_reused_across_releases(self, four_state_chain):
+        chain = four_state_chain.with_initial("s0")
+        word = chain.word(["s1", "s2", "s3"])
+        cfg = MechanismConfig(epsilon=0.5, k=1)
+        privatize_markov_online(chain, word, cfg, rng=make_rng(0))
+        pol = markov_online_policy(chain, 0.5, 1)
+        privatize_markov_online(chain, word, cfg, rng=make_rng(1))
+        assert markov_online_policy(chain, 0.5, 1) is pol
+
+    def test_start_out_of_range(self, four_state_chain):
+        word = four_state_chain.word(["s1"])
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        for start in (-1, 4):
+            with pytest.raises(ValueError):
+                privatize_markov_online(
+                    four_state_chain, word, cfg, initial_output=start
+                )
 
 
 class TestStorybookChain:

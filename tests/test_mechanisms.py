@@ -1,5 +1,10 @@
+import gc
+import json
+import random
 import time
+import tracemalloc
 from math import comb, exp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 
 from worddp import (
     Alphabet,
+    DistanceAutomaton,
     DistanceDistribution,
     MechanismConfig,
     Word,
@@ -20,9 +26,11 @@ from worddp import (
     privatize_online,
     privatize_online_step,
 )
+from worddp.mechanisms import _logsumexp, _match_probability
 from helpers import TopUniformRng, chi_square_pvalue
 
 AB3 = Alphabet(("a", "b", "c"))
+GOLDEN = Path(__file__).resolve().parent / "data" / "offline_golden.json"
 
 
 def reference_distance_law(n: int, m: int, epsilon: float, k: int) -> np.ndarray:
@@ -198,6 +206,85 @@ class TestPrivatizeOffline:
         out = privatize_offline(word, cfg)
         assert time.perf_counter() - start < 2.0
         assert len(out) == 200
+
+    def test_seeded_outputs_match_golden_file(self, storybook_chain):
+        # releases of the automaton's own walk, which the closed form must
+        # reproduce draw for draw
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        alphabets = {
+            "storybook": storybook_chain.states,
+            "abc": AB3,
+            "ab": Alphabet(("a", "b")),
+        }
+        for case in golden["cases"]:
+            word = encode_word(case["word"].split(), alphabets[case["alphabet"]])
+            for eps in golden["epsilons"]:
+                cfg = MechanismConfig(epsilon=eps, k=golden["k"])
+                released = [
+                    privatize_offline(word, cfg, make_rng(seed)).text()
+                    for seed in case["seeds"]
+                ]
+                assert released == case["releases"][repr(eps)], case["name"]
+
+    def test_fresh_words_leave_no_state(self):
+        ab = Alphabet(tuple(f"t{i}" for i in range(50)))
+        rnd = random.Random(3)
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        rng = make_rng(0)
+
+        def fresh() -> Word:
+            return Word(tuple(rnd.randrange(50) for _ in range(60)), ab)
+
+        privatize_offline(fresh(), cfg, rng)  # the law is public and cached
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(300):
+                privatize_offline(fresh(), cfg, rng)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000
+
+
+class TestLogSumExp:
+    def test_matches_scipy(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 61, 300):
+            a = rng.normal(size=n) * 50.0
+            a[-1] = a.max()  # a tie at the maximum
+            if n > 2:
+                a[0] = -np.inf
+            assert _logsumexp(a) == pytest.approx(
+                float(logsumexp(a)), rel=1e-15, abs=1e-13
+            )
+
+
+class TestMatchProbability:
+    def test_equals_automaton_ratio_bit_for_bit(self):
+        # V(i, e) = C(r, d) (m-1)^d depends on r = n - i and d = j - e only,
+        # so the automata of length 60, over every target, hold every state
+        # of every length up to 60; the short lengths are checked as well.
+        checked = 0
+        for m in (2, 3, 5, 50):
+            ab = Alphabet(tuple(f"t{i}" for i in range(m)))
+            for n in (1, 2, 3, 4, 5, 60):
+                word = Word(tuple(i % m for i in range(n)), ab)
+                for j in range(n + 1):
+                    automaton = DistanceAutomaton(word, j)
+                    for i, e in automaton.states():
+                        if i == n:
+                            continue
+                        ratio = automaton.path_count(
+                            i + 1, e
+                        ) / automaton.path_count(i, e)
+                        assert _match_probability(n - i, j - e) == ratio
+                        checked += 1
+        assert checked > 150_000
 
 
 class TestOnlinePolicy:
