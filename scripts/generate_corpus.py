@@ -11,6 +11,7 @@ from the state "anywhere".  Running this script rewrites
 
 from __future__ import annotations
 
+import argparse
 from collections import Counter, deque
 from pathlib import Path
 
@@ -148,6 +149,7 @@ def generate_tokens() -> list[str]:
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__).parse_args()
     _check_graph()
     tokens = generate_tokens()
     support = {(a, b) for a, b in zip(tokens, tokens[1:])}

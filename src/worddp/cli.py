@@ -15,6 +15,7 @@ import json
 import string
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import click
@@ -82,7 +83,10 @@ def cli() -> None:
 @click.option("--input", "input_text", type=str, required=True,
               help="input word as space-separated tokens")
 @click.option("--initial-output", type=str, default=None,
-              help="public starting state for mc-online")
+              help="public starting state for the chain modes (defaults to "
+                   "the chain's initial state): mc-online starts its released "
+                   "path there, mc-offline reads the input and releases a "
+                   "path from there")
 @click.option("--emit-distance", is_flag=True,
               help="also print the Hamming distance to the input")
 def cmd_privatize(
@@ -102,6 +106,10 @@ def cmd_privatize(
     if mode in FREE_MODES:
         if alphabet_spec is None:
             raise click.UsageError(f"--alphabet is required for mode {mode}")
+        if initial_output is not None:
+            raise click.UsageError(
+                f"--initial-output applies to the chain modes, not {mode}"
+            )
         alphabet = _load_alphabet(alphabet_spec)
         word = encode_word(tokens, alphabet)
         if mode == "offline":
@@ -114,6 +122,8 @@ def cmd_privatize(
         chain = MarkovChain.load(chain_path)
         word = chain.word(tokens)
         if mode == "mc-offline":
+            if initial_output is not None:
+                chain = chain.with_initial(initial_output)
             released = privatize_markov_offline(chain, word, config)
         else:
             released = privatize_markov_online(
@@ -189,46 +199,38 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     if spec.mechanism in FREE_MODES:
         states: tuple[str, ...] = ("",)
         space = len(spec.alphabet)  # type: ignore[arg-type]
+        word = encode_word(spec.input_tokens, spec.alphabet)
     else:
         chain = spec.chain
         assert chain is not None
         states = spec.initial_states or (chain.initial_token,)
         space = chain.n_states
+        word = chain.word(spec.input_tokens)
+        # one chain per start, so that its mc-offline plan serves every epsilon
+        starts = {state: chain.with_initial(state) for state in states}
 
     cells = [(eps, st) for eps in spec.epsilon_grid for st in states]
     streams = split_rngs(spec.seed, len(cells))
     rows = []
     for (eps, state), rng in zip(cells, streams):
         config = MechanismConfig(epsilon=eps, k=spec.k, seed=spec.seed)
-        distances = np.empty(spec.samples)
-        if spec.mechanism in FREE_MODES:
-            word = encode_word(spec.input_tokens, spec.alphabet)
-            sampler = (
-                privatize_offline
-                if spec.mechanism == "offline"
-                else privatize_online
-            )
-            for i in range(spec.samples):
-                distances[i] = hamming_distance(
-                    word, sampler(word, config, rng)
-                )
+        if spec.mechanism == "offline":
+            release = partial(privatize_offline, word, config, rng)
+        elif spec.mechanism == "online":
+            release = partial(privatize_online, word, config, rng)
         elif spec.mechanism == "mc-offline":
-            cell_chain = spec.chain.with_initial(state)  # type: ignore[union-attr]
-            word = cell_chain.word(spec.input_tokens)
-            cell_chain.require_feasible(word)
-            for i in range(spec.samples):
-                distances[i] = hamming_distance(
-                    word, privatize_markov_offline(cell_chain, word, config, rng)
-                )
+            release = partial(
+                privatize_markov_offline, starts[state], word, config, rng
+            )
         else:
-            chain = spec.chain
-            assert chain is not None
-            word = chain.word(spec.input_tokens)
-            for i in range(spec.samples):
-                released = privatize_markov_online(
-                    chain, word, config, initial_output=state, rng=rng
-                )
-                distances[i] = hamming_distance(word, released)
+            release = partial(
+                privatize_markov_online, chain, word, config,
+                initial_output=state, rng=rng,
+            )
+        distances = np.array(
+            [hamming_distance(word, release()) for _ in range(spec.samples)],
+            dtype=float,
+        )
 
         stats = (
             empirical_moments(distances)
@@ -246,16 +248,11 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
             "empirical_mean": float(distances.mean()),
             "empirical_se": stats.se_mean if stats else "",
         }
-        if spec.mechanism == "offline":
-            mom = offline_moments(n, space, eps, spec.k)
-            row.update(
-                expectation=mom.expectation,
-                variance=mom.variance,
-                lower=mom.expectation,
-                upper=mom.expectation,
+        if spec.mechanism in FREE_MODES:
+            moments = (
+                offline_moments if spec.mechanism == "offline" else online_moments
             )
-        elif spec.mechanism == "online":
-            mom = online_moments(n, space, eps, spec.k)
+            mom = moments(n, space, eps, spec.k)
             row.update(
                 expectation=mom.expectation,
                 variance=mom.variance,
@@ -263,8 +260,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
                 upper=mom.expectation,
             )
         elif spec.mechanism == "mc-offline":
-            cell_chain = spec.chain.with_initial(state)  # type: ignore[union-attr]
-            word = cell_chain.word(spec.input_tokens)
+            cell_chain = starts[state]
             counts = feasible_distance_counts(cell_chain, word)
             bounds = markov_offline_bounds(n, cell_chain, eps, spec.k, counts)
             row.update(

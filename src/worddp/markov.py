@@ -11,14 +11,16 @@ set: the whole-word sampler weights each distance class by the number of
 feasible words in it, and the per-symbol sampler redistributes mass over the
 successors of the previously released state.
 
-The class sizes come from a suffix-count table that packs each
-(position, state) row of exact counts into one Python int, with a slot
-width bounded by the chain's walk counts so that no slot overflows; no
-float or fixed-width integer enters the counts.  A chain caches these
-tables, with the laws and automata built on them, for a few recent input
-words.  The per-symbol sampler's plan depends on public data only: a chain
-keeps one policy per recent (epsilon, k), and a policy fills its CDF rows
-per previously released state.
+The whole-word sampler's plan belongs to one (chain, input word).  It holds
+a suffix-count table that packs each (position, state) row of exact counts
+into one Python int, with a slot width bounded by the chain's walk counts so
+that no slot overflows (no float or fixed-width integer enters the counts);
+the distance law per (epsilon, k); and the CDF rows of the walk to a uniform
+word at the drawn distance, keyed by position, mismatches still needed and
+state, so that every distance shares them.  A chain keeps the plans of a few
+recent input words.  The per-symbol sampler's plan depends on public data
+only: a chain keeps one policy per recent (epsilon, k), and a policy fills
+its CDF rows per previously released state.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ logger = logging.getLogger(__name__)
 
 _ENUMERATION_LIMIT = 10**6
 _ROW_SUM_TOL = 1e-9
-# Input words whose ``mc-offline`` plans a chain keeps.  One word's suffix
+# Input words whose ``mc-offline`` plans a chain keeps.  One plan's suffix
 # table takes about 1.3 MB at n = 60 and 45 MB at n = 200 on the 50-state
 # storybook chain, so memory stays bounded under fresh inputs, while a word
 # released again and again (a repeated release, an experiment sweep) keeps
@@ -122,7 +124,7 @@ class MarkovChain:
             tuple(int(j) for j in np.flatnonzero(mat[i] > 0)) for i in range(m)
         ]
         self._successor_sets = [frozenset(s) for s in self._successors]
-        self._word_plans: OrderedDict[tuple[int, ...], dict] = OrderedDict()
+        self._word_plans: OrderedDict[tuple[int, ...], _WordPlan] = OrderedDict()
         self._online_policies: OrderedDict[
             tuple[float, int], "MarkovOnlinePolicy"
         ] = OrderedDict()
@@ -348,67 +350,150 @@ class DistanceCounts:
         return tuple(l for l, c in enumerate(self.counts) if c > 0)
 
 
-def _word_plan(chain: MarkovChain, word: Word) -> dict:
-    """Per-word cache of ``mc-offline`` plans: the suffix table, distance
-    laws and product automata of one input word.
-
-    A chain keeps at most ``_WORD_PLAN_LIMIT`` words and evicts the least
-    recently used one, with all its plans, first.
-    """
-    plans = chain._word_plans
-    key = word.symbols
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = {}
-        if len(plans) > _WORD_PLAN_LIMIT:
-            plans.popitem(last=False)
-    else:
-        plans.move_to_end(key)
-    return plan
+def _cached(cache: OrderedDict, key, limit: int, build):
+    """``cache[key]`` from an LRU cache of ``limit`` entries, calling
+    ``build()`` on a miss.  It evicts before it builds, so no more than
+    ``limit`` entries are alive even while a new one is built."""
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+        return hit
+    if len(cache) >= limit:
+        cache.popitem(last=False)
+    value = cache[key] = build()
+    return value
 
 
-def _suffix_counts(
-    chain: MarkovChain, word: Word
-) -> tuple[list[list[int]], int]:
-    """Bit-packed suffix table and its slot width ``B``.
+class _WordPlan:
+    """Everything ``mc-offline`` computes for one (chain, input word): the
+    packed suffix table, the distance law per (epsilon, k), and the CDF
+    rows of the uniform walk.  A step's successor weights depend only on
+    the position ``i``, the mismatches still ``needed`` and the state, so
+    one row keyed by ``(i, needed, state)`` serves every target distance.
 
-    ``W[i][s][r]`` counts the feasible completions from position ``i`` in
-    state ``s`` that mismatch the reference suffix in exactly ``r`` places.
-    ``table[i][s]`` packs one row of it into a Python int, with the count
-    for ``q = n - i - r`` matching places in slot ``q`` (bits ``q*B`` up to
-    ``(q+1)*B``).  Going back one position, only the reference symbol's row
-    moves up a slot (one shift by ``B`` bits), and the sum over successors
-    adds whole packed rows with big-int arithmetic.
+    ``table[i][s]`` packs the feasible completions from position ``i`` in
+    state ``s`` into one Python int: slot ``q`` (bits ``q*B`` up to
+    ``(q+1)*B``) counts those that match the rest of the word in ``q``
+    places, so mismatch it in ``n - i - q``.  Going back one position, only
+    the reference symbol's row moves up a slot (one shift by ``B`` bits),
+    and the sum over successors adds whole packed rows with big-int
+    arithmetic.
 
     Exactness: every slot of ``table[i][s]``, and every partial sum formed
     while building it, is at most the number of length-``n - i`` walks
     from ``s``.  That number never falls as the length grows (every state
     has a successor), so the largest number of length-``n`` walks from any
     state bounds every slot, and ``B`` is its bit length: no slot carries
-    into the next.  Computed once per (chain, word) and cached on the
-    chain.
+    into the next.
+    """
+
+    def __init__(self, chain: MarkovChain, word: Word):
+        successors = chain._successors
+        walks = [1] * chain.n_states
+        for _ in range(len(word)):
+            walks = [sum(map(walks.__getitem__, succ)) for succ in successors]
+        width = max(walks).bit_length()
+        row = [1] * chain.n_states
+        table = [row]
+        for target in reversed(word.symbols):
+            moved = row.copy()
+            moved[target] = row[target] << width
+            row = [sum(map(moved.__getitem__, succ)) for succ in successors]
+            table.append(row)
+        table.reverse()
+        self._table = table
+        self._width = width
+        self._mask = (1 << width) - 1
+        self._n = len(word)
+        self._symbols = word.symbols
+        self._successors = successors
+        self._initial = chain.initial
+        self._states = chain.states
+        self._laws: dict[tuple[float, int], DistanceDistribution] = {}
+        # (i, needed, state) -> (successors with completions, CDF over them)
+        self._rows: dict[tuple[int, int, int], tuple] = {}
+
+    def count(self, i: int, needed: int, state: int) -> int:
+        """Feasible completions of positions ``i`` onward from ``state``
+        that mismatch the word there in exactly ``needed`` places."""
+        if not 0 <= needed <= self._n - i:
+            return 0
+        slot = self._n - i - needed
+        return (self._table[i][state] >> (slot * self._width)) & self._mask
+
+    def counts(self) -> DistanceCounts:
+        return DistanceCounts(
+            tuple(self.count(0, r, self._initial) for r in range(self._n + 1))
+        )
+
+    def law(self, epsilon: float, k: int) -> DistanceDistribution:
+        """Output-distance law: each class size times ``exp(-eps*l/(2k))``."""
+        key = (epsilon, k)
+        dist = self._laws.get(key)
+        if dist is not None:
+            return dist
+        counts = self.counts()
+        support = counts.support()
+        if support == (0,):
+            logger.warning(
+                "chain admits no feasible word other than the input; the "
+                "whole-word mechanism degenerates to the identity and "
+                "provides no privacy"
+            )
+        log_weights = np.full(counts.n + 1, -np.inf)
+        for l in support:
+            # log of an exact integer count; safe for counts beyond float range
+            log_weights[l] = log(counts[l]) - epsilon * l / (2.0 * k)
+        probs = np.exp(log_weights - _logsumexp(log_weights))
+        dist = self._laws[key] = DistanceDistribution(probs / probs.sum())
+        return dist
+
+    def _row(
+        self, i: int, needed: int, state: int
+    ) -> tuple[tuple[int, ...], list[float]]:
+        here = self.count(i, needed, state)
+        target = self._symbols[i]
+        succs = []
+        weights = []
+        for s in self._successors[state]:
+            w = self.count(i + 1, needed if s == target else needed - 1, s)
+            if w > 0:
+                succs.append(s)
+                weights.append(w / here)
+        return tuple(succs), list(accumulate(weights))
+
+    def walk(self, distance: int, rng: np.random.Generator) -> Word:
+        """Uniform draw from the feasible words at exactly ``distance``
+        from the input; one uniform per position."""
+        rows = self._rows
+        state = self._initial
+        needed = distance
+        symbols = []
+        for i, target in enumerate(self._symbols):
+            key = (i, needed, state)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = self._row(i, needed, state)
+            succs, cdf = row
+            state = succs[min(bisect_right(cdf, rng.random()), len(succs) - 1)]
+            if state != target:
+                needed -= 1
+            symbols.append(state)
+        return Word(tuple(symbols), self._states)
+
+
+def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
+    """The chain's ``mc-offline`` plan for ``word``, built on first use.
+
+    A chain keeps the plans of its ``_WORD_PLAN_LIMIT`` most recently used
+    input words.
     """
     if word.alphabet != chain.states:
         raise ValueError("word is not over this chain's state set")
-    plan = _word_plan(chain, word)
-    hit = plan.get("suffix")
-    if hit is not None:
-        return hit
-    successors = chain._successors
-    walks = [1] * chain.n_states
-    for _ in range(len(word)):
-        walks = [sum(map(walks.__getitem__, succ)) for succ in successors]
-    width = max(walks).bit_length()
-    row = [1] * chain.n_states
-    table = [row]
-    for target in reversed(word.symbols):
-        moved = row.copy()
-        moved[target] = row[target] << width
-        row = [sum(map(moved.__getitem__, succ)) for succ in successors]
-        table.append(row)
-    table.reverse()
-    plan["suffix"] = (table, width)
-    return table, width
+    return _cached(
+        chain._word_plans, word.symbols, _WORD_PLAN_LIMIT,
+        lambda: _WordPlan(chain, word),
+    )
 
 
 def feasible_distance_counts(chain: MarkovChain, word: Word) -> DistanceCounts:
@@ -417,13 +502,7 @@ def feasible_distance_counts(chain: MarkovChain, word: Word) -> DistanceCounts:
     One dynamic program over (position, state) pairs yields the whole
     distance profile; counts are exact integers.
     """
-    table, width = _suffix_counts(chain, word)
-    packed = table[0][chain.initial]
-    mask = (1 << width) - 1
-    n = len(word)
-    return DistanceCounts(
-        tuple((packed >> ((n - r) * width)) & mask for r in range(n + 1))
-    )
+    return _word_plan(chain, word).counts()
 
 
 class ProductDistanceAutomaton:
@@ -433,6 +512,10 @@ class ProductDistanceAutomaton:
     state just emitted.  Accepting runs are the feasible words at Hamming
     distance exactly ``j`` from the reference; successor-proportional
     sampling makes every such word equally likely.
+
+    The automaton is a view on the word's plan: its path counts are the
+    plan's counts with ``j - e`` mismatches still needed, and its sampler
+    is the walk ``privatize_markov_offline`` takes.
     """
 
     def __init__(self, chain: MarkovChain, word: Word, distance: int):
@@ -445,73 +528,24 @@ class ProductDistanceAutomaton:
         self.word = word
         self.distance = distance
         self._n = n
-        self._table, self._width = _suffix_counts(chain, word)
-        self._mask = (1 << self._width) - 1
+        self._plan = _word_plan(chain, word)
         if self.language_size == 0:
             raise ValueError(
                 f"no feasible word lies at distance exactly {distance} "
                 "from the reference"
             )
-        self._step_cache: dict[
-            tuple[int, int, int], tuple[tuple[int, ...], np.ndarray]
-        ] = {}
 
     def path_count(self, i: int, e: int, state: int) -> int:
         """Accepting paths below product state ``(i, e, state)``."""
-        r = self.distance - e
-        if not 0 <= r <= self._n - i:
-            return 0
-        slot = self._n - i - r
-        return (self._table[i][state] >> (slot * self._width)) & self._mask
+        return self._plan.count(i, self.distance - e, state)
 
     @property
     def language_size(self) -> int:
         return self.path_count(0, 0, self.chain.initial)
 
-    def transition_probability(
-        self, i: int, e: int, state: int, successor: int
-    ) -> float:
-        here = self.path_count(i, e, state)
-        if here == 0 or not self.chain.can_follow(successor, state):
-            return 0.0
-        e_next = e if successor == self.word.symbols[i] else e + 1
-        return self.path_count(i + 1, e_next, successor) / here
-
-    def _step(
-        self, i: int, e: int, state: int
-    ) -> tuple[tuple[int, ...], np.ndarray]:
-        key = (i, e, state)
-        hit = self._step_cache.get(key)
-        if hit is not None:
-            return hit
-        here = self.path_count(i, e, state)
-        succs = []
-        weights = []
-        target = self.word.symbols[i]
-        for s in self.chain.successors(state):
-            w = self.path_count(i + 1, e if s == target else e + 1, s)
-            if w > 0:
-                succs.append(s)
-                weights.append(w / here)
-        entry = (tuple(succs), np.cumsum(weights))
-        self._step_cache[key] = entry
-        return entry
-
     def sample(self, rng: np.random.Generator) -> Word:
         """Uniform draw from the accepted language; one uniform per step."""
-        state = self.chain.initial
-        e = 0
-        symbols = []
-        for i in range(self._n):
-            succs, cdf = self._step(i, e, state)
-            choice = int(np.searchsorted(cdf, rng.random(), side="right"))
-            choice = min(choice, len(succs) - 1)
-            nxt = succs[choice]
-            if nxt != self.word.symbols[i]:
-                e += 1
-            symbols.append(nxt)
-            state = nxt
-        return Word(tuple(symbols), self.chain.states)
+        return self._plan.walk(self.distance, rng)
 
     def accepts(self, candidate: Word) -> bool:
         if candidate.alphabet != self.chain.states or len(candidate) != self._n:
@@ -558,43 +592,6 @@ class ProductDistanceAutomaton:
         yield from rec(0, 0, self.chain.initial, [])
 
 
-def _offline_plan(
-    chain: MarkovChain, word: Word, epsilon: float, k: int
-) -> DistanceDistribution:
-    plan = _word_plan(chain, word)
-    key = ("distance-law", epsilon, k)
-    hit = plan.get(key)
-    if hit is not None:
-        return hit
-    counts = feasible_distance_counts(chain, word)
-    support = counts.support()
-    if support == (0,):
-        logger.warning(
-            "chain admits no feasible word other than the input; the "
-            "whole-word mechanism degenerates to the identity and provides "
-            "no privacy"
-        )
-    log_weights = np.full(counts.n + 1, -np.inf)
-    for l in support:
-        # log of an exact integer count; safe for counts beyond float range
-        log_weights[l] = log(counts[l]) - epsilon * l / (2.0 * k)
-    probs = np.exp(log_weights - _logsumexp(log_weights))
-    dist = DistanceDistribution(probs / probs.sum())
-    plan[key] = dist
-    return dist
-
-
-def _product_automaton(
-    chain: MarkovChain, word: Word, distance: int
-) -> ProductDistanceAutomaton:
-    plan = _word_plan(chain, word)
-    key = ("automaton", distance)
-    hit = plan.get(key)
-    if hit is None:
-        hit = plan[key] = ProductDistanceAutomaton(chain, word, distance)
-    return hit
-
-
 def privatize_markov_offline(
     chain: MarkovChain,
     word: Word,
@@ -604,15 +601,15 @@ def privatize_markov_offline(
     """Release a feasible privatized word for a feasible input.
 
     Draws the output distance from the feasibility-weighted law (one
-    uniform), then walks the product automaton for that distance.  Raises
-    :class:`InfeasibleWordError` for inputs the chain cannot generate.
+    uniform), then walks the word's plan to a uniform feasible word at that
+    distance.  Raises :class:`InfeasibleWordError` for inputs the chain
+    cannot generate.
     """
     chain.require_feasible(word)
     if rng is None:
         rng = config.rng()
-    dist = _offline_plan(chain, word, config.epsilon, config.k)
-    target = dist.sample(rng)
-    return _product_automaton(chain, word, target).sample(rng)
+    plan = _word_plan(chain, word)
+    return plan.walk(plan.law(config.epsilon, config.k).sample(rng), rng)
 
 
 # -- per-symbol mechanism ------------------------------------------------------
@@ -720,16 +717,10 @@ def markov_online_policy(
     used parameter pairs, so their tables carry over from one release to
     the next.
     """
-    policies = chain._online_policies
-    key = (epsilon, k)
-    policy = policies.get(key)
-    if policy is None:
-        policy = policies[key] = MarkovOnlinePolicy(chain, epsilon, k)
-        if len(policies) > _ONLINE_POLICY_LIMIT:
-            policies.popitem(last=False)
-    else:
-        policies.move_to_end(key)
-    return policy
+    return _cached(
+        chain._online_policies, (epsilon, k), _ONLINE_POLICY_LIMIT,
+        lambda: MarkovOnlinePolicy(chain, epsilon, k),
+    )
 
 
 def privatize_markov_online_step(

@@ -17,12 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from worddp.core import Alphabet, MechanismConfig, Word, hamming_distance
-from worddp.markov import (
-    MarkovChain,
-    ProductDistanceAutomaton,
-    _offline_plan,
-    markov_online_policy,
-)
+from worddp.markov import MarkovChain, _word_plan, markov_online_policy
 from worddp.mechanisms import (
     OnlinePolicy,
     _logsumexp,
@@ -182,22 +177,25 @@ def exact_online_law(
 def exact_markov_offline_law(
     chain: MarkovChain, word: Word, config: MechanismConfig
 ) -> OutputDistribution:
-    """Exact law of the feasibility-preserving whole-word sampler."""
+    """Exact law of the feasibility-preserving whole-word sampler.
+
+    The walk's step ratios telescope, so every word at distance ``d`` has
+    probability exactly ``1/|class d|`` given the distance; ``1 / count``
+    is that rational correctly rounded.
+    """
     n = len(word)
     _check_exact_size(n, chain.n_states)
     chain.require_feasible(word)
-    dist = _offline_plan(chain, word, config.epsilon, config.k)
-    probs: dict[Word, float] = {}
-    for target in range(n + 1):
-        p_class = dist[target]
-        if p_class == 0.0:
-            continue
-        automaton = ProductDistanceAutomaton(chain, word, target)
-        for w in automaton.iter_language():
-            probs[w] = p_class * automaton.run_probability(w)
-    support = list(chain.feasible_words(n))
-    vec = np.array([probs.get(w, 0.0) for w in support])
-    return OutputDistribution(tuple(support), vec / vec.sum())
+    plan = _word_plan(chain, word)
+    dist = plan.law(config.epsilon, config.k)
+    counts = plan.counts()
+    support = tuple(chain.feasible_words(n))
+    vec = []
+    for w in support:
+        d = hamming_distance(word, w)
+        vec.append(dist[d] * (1 / counts[d]))
+    arr = np.array(vec)
+    return OutputDistribution(support, arr / arr.sum())
 
 
 def exact_markov_online_law(

@@ -136,6 +136,38 @@ class TestPrivatize:
         first = out.strip().split()[0]
         assert first in ("s0", "s3")  # successors of s3
 
+    def test_mc_offline_initial_output(self, capsys, chain_file):
+        # "s0 s1" is infeasible from the file's initial state s0, but
+        # feasible from s3
+        base = (
+            "privatize", "--mode", "mc-offline", "--chain", chain_file,
+            "--input", "s0 s1",
+        )
+        code, _, _ = run_cli(capsys, *base, "--epsilon", "1.0")
+        assert code == EXIT_INFEASIBLE
+        code, out, _ = run_cli(
+            capsys, *base, "--epsilon", "1.0", "--initial-output", "s3"
+        )
+        assert code == EXIT_OK
+        chain = MarkovChain.load(chain_file).with_initial("s3")
+        chain.require_feasible(chain.word(out.strip().split()))
+        code, out, _ = run_cli(
+            capsys, *base, "--epsilon", "1e6", "--initial-output", "s3"
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "s0 s1"
+
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    def test_initial_output_rejected_in_free_modes(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys,
+            "privatize", "--mode", mode, "--epsilon", "1.0",
+            "--alphabet", "a,b", "--input", "a b", "--initial-output", "a",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--initial-output" in err
+
     def test_missing_chain_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys,

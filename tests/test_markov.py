@@ -1,6 +1,8 @@
+import copy
 import json
 import logging
 import random
+import weakref
 from fractions import Fraction
 from math import comb, exp
 from pathlib import Path
@@ -28,7 +30,9 @@ from worddp import (
     privatize_markov_online_step,
     tokenize,
 )
+from worddp import markov
 from worddp.markov import _ONLINE_POLICY_LIMIT, _WORD_PLAN_LIMIT, MarkovOnlinePolicy
+from worddp.markov import _word_plan
 from helpers import (
     TopUniformRng,
     brute_feasible_words,
@@ -528,6 +532,108 @@ class TestWordPlanCache:
             privatize_markov_offline(chain, walk(chain, rnd, 15), cfg, make_rng(0))
             privatize_markov_offline(chain, sentence, cfg, make_rng(0))
         assert chain._word_plans[sentence.symbols] is plan
+
+
+def step_reference(chain, word, reference, i, needed, state):
+    """Successors and ``np.cumsum`` of the exact path-count ratios out of
+    ``(i, needed, state)``, read from the unpacked loop table, as the
+    product automaton's per-distance step cache built them."""
+    n = len(word)
+
+    def count(i, needed, s):
+        return reference[i][s][needed] if 0 <= needed <= n - i else 0
+
+    here = count(i, needed, state)
+    succs, weights = [], []
+    for s in chain.successors(state):
+        w = count(i + 1, needed if s == word.symbols[i] else needed - 1, s)
+        if w > 0:
+            succs.append(s)
+            weights.append(w / here)
+    return tuple(succs), np.cumsum(weights).tolist()
+
+
+class TestWordPlan:
+    def check_rows(self, chain, word):
+        plan = _word_plan(chain, word)
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        rng = make_rng(len(word))
+        for _ in range(50):
+            privatize_markov_offline(chain, word, cfg, rng)
+        assert plan._rows  # the releases filled rows
+        reference = loop_suffix_table(chain, word)
+        n = len(word)
+        for (i, needed, state), row in plan._rows.items():
+            assert row == step_reference(chain, word, reference, i, needed, state)
+        built = 0
+        for i in range(n):
+            for needed in range(n - i + 1):
+                for state in range(chain.n_states):
+                    if plan.count(i, needed, state) == 0:
+                        continue
+                    expected = step_reference(
+                        chain, word, reference, i, needed, state
+                    )
+                    assert plan._row(i, needed, state) == expected
+                    built += 1
+        return built
+
+    def test_rows_equal_cumsum_on_storybook(self, storybook_chain, sample_tokens):
+        chain = storybook_chain.with_initial("anywhere")
+        assert self.check_rows(chain, chain.word(sample_tokens)) > 1000
+
+    def test_rows_equal_cumsum_on_four_state_chain(self, four_state_chain):
+        words = [
+            w for n in range(1, 5) for w in four_state_chain.feasible_words(n)
+        ]
+        assert len(words) == 50
+        for word in words:
+            chain = four_state_chain.with_initial("s0")  # empty caches
+            self.check_rows(chain, word)
+
+    @pytest.mark.parametrize("name", ["storybook", "four-state"])
+    def test_automaton_sample_is_the_release_walk(
+        self, name, storybook_chain, four_state_chain, sample_tokens
+    ):
+        if name == "storybook":
+            chain = storybook_chain.with_initial("anywhere")
+            word = chain.word(sample_tokens)
+        else:
+            chain = four_state_chain
+            word = chain.word(["s1", "s2", "s1", "s2"])
+        automata = {
+            j: ProductDistanceAutomaton(chain, word, j)
+            for j in feasible_distance_counts(chain, word).support()
+        }
+        for eps in (0.0, 0.5, 5.0):
+            cfg = MechanismConfig(epsilon=eps, k=1)
+            rng = make_rng(int(10 * eps))
+            clone = copy.deepcopy(rng)
+            for _ in range(200):
+                out = privatize_markov_offline(chain, word, cfg, rng)
+                clone.random()  # the release's distance draw
+                distance = hamming_distance(word, out)
+                assert automata[distance].sample(clone) == out
+
+    def test_evicts_before_building(self, storybook_chain, monkeypatch):
+        live = weakref.WeakSet()
+        alive_at_build = []
+
+        class RecordingPlan(markov._WordPlan):
+            def __init__(self, chain, word):
+                alive_at_build.append(len(live))
+                live.add(self)
+                super().__init__(chain, word)
+
+        monkeypatch.setattr(markov, "_WordPlan", RecordingPlan)
+        chain = storybook_chain.with_initial("anywhere")
+        rnd = random.Random(8)
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        for _ in range(30):
+            privatize_markov_offline(chain, walk(chain, rnd, 20), cfg, make_rng(0))
+        assert len(alive_at_build) == 30
+        assert max(alive_at_build) == _WORD_PLAN_LIMIT - 1
+        assert len(live) == _WORD_PLAN_LIMIT
 
 
 class TestMarkovOnlinePolicy:
