@@ -96,16 +96,17 @@ class Word:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-        if len(self.symbols) == 0:
+        symbols = tuple(map(int, self.symbols))
+        object.__setattr__(self, "symbols", symbols)
+        if len(symbols) == 0:
             raise ValueError("words must have length at least 1")
         m = len(self.alphabet)
-        for pos, s in enumerate(self.symbols):
-            if not 0 <= s < m:
-                raise ValueError(
-                    f"symbol index {s} at position {pos} is outside the alphabet "
-                    f"(size {m})"
-                )
+        if min(symbols) < 0 or max(symbols) >= m:
+            pos, s = next((p, s) for p, s in enumerate(symbols) if not 0 <= s < m)
+            raise ValueError(
+                f"symbol index {s} at position {pos} is outside the alphabet "
+                f"(size {m})"
+            )
 
     def __len__(self) -> int:
         return len(self.symbols)

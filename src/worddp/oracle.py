@@ -41,6 +41,8 @@ __all__ = [
 _LANGUAGE_LIMIT = 10**6
 _EXACT_N_LIMIT = 4
 _EXACT_M_LIMIT = 6
+# float64 entries per temporary in the pair scan: 2 MB, about 8 MB in all
+_SCAN_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -125,28 +127,12 @@ def exact_offline_law(word: Word, config: MechanismConfig) -> OutputDistribution
     """Exact law of the whole-word sampler, via its own components.
 
     Combines the implemented distance law with the step probabilities the
-    release walk uses, enumerated over the full word space: each position
-    keeps the input symbol with :func:`_match_probability` and otherwise
-    emits each of the other ``m - 1`` symbols with an equal share.
+    release walk uses, over the full word space: each position keeps the
+    input symbol with :func:`_match_probability` and otherwise emits each
+    of the other ``m - 1`` symbols with an equal share.
     """
-    n, m = len(word), len(word.alphabet)
-    _check_exact_size(n, m)
-    dist = distance_distribution(n, m, config.epsilon, config.k)
-    support = all_words(word.alphabet, n)
-    vec = []
-    for w in support:
-        needed = hamming_distance(word, w)
-        p = dist[needed]
-        for i, (x_i, w_i) in enumerate(zip(word.symbols, w.symbols)):
-            keep = _match_probability(n - i, needed)
-            if x_i == w_i:
-                p *= keep
-            else:
-                p *= (1.0 - keep) / (m - 1)
-                needed -= 1
-        vec.append(p)
-    arr = np.array(vec)
-    return OutputDistribution(tuple(support), arr / arr.sum())
+    laws, support = _law_matrix("offline", [word], config, None, None, None)
+    return OutputDistribution(support, laws[0])
 
 
 def exact_online_law(
@@ -159,19 +145,11 @@ def exact_online_law(
     ``policy`` can be overridden (e.g. a deliberately broken one) for
     verification exercises.
     """
-    n, m = len(word), len(word.alphabet)
-    _check_exact_size(n, m)
-    if policy is None:
-        policy = online_policy(m, config.epsilon, config.k)
-    support = all_words(word.alphabet, n)
-    rows = [policy.probabilities(s) for s in word.symbols]
-    vec = np.array(
-        [
-            float(np.prod([rows[i][w.symbols[i]] for i in range(n)]))
-            for w in support
-        ]
-    )
-    return OutputDistribution(tuple(support), vec / vec.sum())
+    if policy is not None and policy.alphabet_size != len(word.alphabet):
+        raise ValueError("policy and word disagree on the alphabet size")
+    tau = None if policy is None else policy.tau
+    laws, support = _law_matrix("online", [word], config, None, tau, None)
+    return OutputDistribution(support, laws[0])
 
 
 def exact_markov_offline_law(
@@ -183,19 +161,8 @@ def exact_markov_offline_law(
     probability exactly ``1/|class d|`` given the distance; ``1 / count``
     is that rational correctly rounded.
     """
-    n = len(word)
-    _check_exact_size(n, chain.n_states)
-    chain.require_feasible(word)
-    plan = _word_plan(chain, word)
-    dist = plan.law(config.epsilon, config.k)
-    counts = plan.counts()
-    support = tuple(chain.feasible_words(n))
-    vec = []
-    for w in support:
-        d = hamming_distance(word, w)
-        vec.append(dist[d] * (1 / counts[d]))
-    arr = np.array(vec)
-    return OutputDistribution(support, arr / arr.sum())
+    laws, support = _law_matrix("mc-offline", [word], config, chain, None, None)
+    return OutputDistribution(support, laws[0])
 
 
 def exact_markov_online_law(
@@ -212,41 +179,10 @@ def exact_markov_online_law(
     state.  ``tau_override`` forces the retention probability (when the
     true state is reachable) to a fixed value, for negative controls.
     """
-    n = len(word)
-    _check_exact_size(n, chain.n_states)
-    policy = markov_online_policy(chain, config.epsilon, config.k)
-    if initial_output is None:
-        start = chain.initial
-    elif isinstance(initial_output, str):
-        start = chain.states.index(initial_output)
-    else:
-        start = int(initial_output)
-
-    def row_prob(output: int, true_state: int, prev: int) -> float:
-        if tau_override is None:
-            return policy.probability(output, true_state, prev)
-        if not chain.can_follow(output, prev):
-            return 0.0
-        n_succ = chain.n_successors(prev)
-        if chain.can_follow(true_state, prev):
-            if output == true_state:
-                return tau_override
-            if n_succ == 1:
-                return 0.0
-            return (1.0 - tau_override) / (n_succ - 1)
-        return 1.0 / n_succ
-
-    support = list(chain.with_initial(start).feasible_words(n))
-    vec = []
-    for w in support:
-        prev = start
-        p = 1.0
-        for i in range(n):
-            p *= row_prob(w.symbols[i], word.symbols[i], prev)
-            prev = w.symbols[i]
-        vec.append(p)
-    arr = np.array(vec)
-    return OutputDistribution(tuple(support), arr / arr.sum())
+    laws, support = _law_matrix(
+        "mc-online", [word], config, chain, tau_override, initial_output
+    )
+    return OutputDistribution(support, laws[0])
 
 
 @dataclass
@@ -289,6 +225,10 @@ class DpReport:
         )
 
 
+def _symbols(words: Sequence[Word]) -> np.ndarray:
+    return np.array([w.symbols for w in words], dtype=np.intp)
+
+
 def _law_matrix(
     kind: str,
     inputs: list[Word],
@@ -297,39 +237,92 @@ def _law_matrix(
     tau_override: float | None,
     initial_output: int | str | None,
 ) -> tuple[np.ndarray, tuple[Word, ...]]:
-    laws = []
-    support: tuple[Word, ...] | None = None
-    for w in inputs:
-        if kind == "offline":
-            law = exact_offline_law(w, config)
-        elif kind == "online":
-            policy = None
-            if tau_override is not None:
-                policy = OnlinePolicy(
-                    tau=tau_override, alphabet_size=len(w.alphabet)
-                )
-            law = exact_online_law(w, config, policy=policy)
-        elif kind == "mc-offline":
-            assert chain is not None
-            law = exact_markov_offline_law(chain, w, config)
-        elif kind == "mc-online":
-            assert chain is not None
-            law = exact_markov_online_law(
-                chain,
-                w,
-                config,
-                initial_output=initial_output,
-                tau_override=tau_override,
+    """Exact laws of one mechanism, one row per input word.
+
+    Returns the ``[inputs x outputs]`` matrix and the output support that
+    every row shares.  Each entry is the product of the factors the
+    release takes, position by position from the left, and each row is
+    normalized by its sum.
+    """
+    n = len(inputs[0])
+    eps, k = config.epsilon, config.k
+    if kind in ("offline", "online"):
+        alphabet = inputs[0].alphabet
+    elif kind in ("mc-offline", "mc-online"):
+        assert chain is not None
+        alphabet = chain.states
+    else:
+        raise ValueError(f"unknown mechanism kind {kind!r}")
+    m = len(alphabet)
+    _check_exact_size(n, m)
+    if kind == "mc-online":
+        start = chain.initial if initial_output is None else initial_output
+        start = chain.states.index(start) if isinstance(start, str) else int(start)
+        support = tuple(chain.with_initial(start).feasible_words(n))
+    elif kind == "mc-offline":
+        support = tuple(chain.feasible_words(n))
+    else:
+        support = tuple(all_words(alphabet, n))
+    x, w = _symbols(inputs), _symbols(support)
+    # differing symbols per (input, output): the Hamming distance
+    distance = (x[:, None] != w[None]).sum(axis=-1)
+
+    if kind == "offline":
+        p = distance_distribution(n, m, eps, k).probabilities[distance]
+        needed = distance
+        for i in range(n):
+            keep = _match_probability(n - i, needed)
+            match = x[:, i, None] == w[None, :, i]
+            # with m = 1 no output mismatches; max() only spares a 0 / 0
+            p = p * np.where(match, keep, (1.0 - keep) / max(m - 1, 1))
+            needed = needed - ~match
+    elif kind == "online":
+        policy = (
+            online_policy(m, eps, k)
+            if tau_override is None
+            else OnlinePolicy(tau=tau_override, alphabet_size=m)
+        )
+        table = np.array([policy.probabilities(s) for s in range(m)])
+        p = table[x[:, 0, None], w[None, :, 0]]
+        for i in range(1, n):
+            p = p * table[x[:, i, None], w[None, :, i]]
+    elif kind == "mc-offline":
+        by_distance = []
+        for word in inputs:
+            chain.require_feasible(word)
+            plan = _word_plan(chain, word)
+            dist, counts = plan.law(eps, k), plan.counts()
+            by_distance.append(
+                [dist[d] * (1 / counts[d]) if counts[d] else 0.0 for d in range(n + 1)]
             )
-        else:
-            raise ValueError(f"unknown mechanism kind {kind!r}")
-        if support is None:
-            support = law.words
-        elif support != law.words:
-            raise AssertionError("laws disagree on output support ordering")
-        laws.append(law.probabilities)
-    assert support is not None
-    return np.array(laws), support
+        p = np.take_along_axis(np.array(by_distance), distance, axis=1)
+    else:
+        policy = markov_online_policy(chain, eps, k)
+
+        def row_prob(output: int, true_state: int, prev: int) -> float:
+            if tau_override is None:
+                return policy.probability(output, true_state, prev)
+            if not chain.can_follow(output, prev):
+                return 0.0
+            n_succ = chain.n_successors(prev)
+            if chain.can_follow(true_state, prev):
+                if output == true_state:
+                    return tau_override
+                if n_succ == 1:
+                    return 0.0
+                return (1.0 - tau_override) / (n_succ - 1)
+            return 1.0 / n_succ
+
+        # table[previous output, true state, output]
+        table = np.array(
+            [row_prob(o, t, q) for q, t, o in itertools.product(range(m), repeat=3)]
+        ).reshape(m, m, m)
+        p = np.ones(distance.shape)
+        prev = np.full(len(support), start)
+        for i in range(n):
+            p = p * table[prev[None], x[:, i, None], w[None, :, i]]
+            prev = w[:, i]
+    return p / p.sum(axis=1, keepdims=True), support
 
 
 def verify_dp(
@@ -348,6 +341,10 @@ def verify_dp(
     laws are compared pointwise; the report carries the largest absolute
     log-ratio and the witnesses.  A zero probability on one side only is
     unbounded leakage and fails the check outright.
+
+    Pairs are scanned in row-major order, in chunks.  The witness is the
+    first one-sided pair at its first one-sided output if there is one,
+    else the first pair reaching the largest ratio, at its first argmax.
     """
     if kind in ("offline", "online"):
         if alphabet is None:
@@ -369,46 +366,45 @@ def verify_dp(
     laws, support = _law_matrix(
         kind, inputs, config, chain, tau_override, initial_output
     )
-    with np.errstate(divide="ignore"):
-        log_laws = np.log(laws)
+    positive = laws > 0.0
+    x = _symbols(inputs)
+    adjacent = (x[:, None] != x[None]).sum(axis=-1) <= config.k
+    first, second = np.nonzero(np.triu(adjacent, 1))
 
-    max_ratio = 0.0
-    worst: dict | None = None
-    zero_violations = 0
-    pairs = 0
-    for a in range(len(inputs)):
-        for b in range(a + 1, len(inputs)):
-            if hamming_distance(inputs[a], inputs[b]) > config.k:
+    max_ratio, witness, zero_violations = 0.0, None, 0
+    chunk = max(1, _SCAN_ELEMENTS // len(support))
+    # log 0 = -inf, and -inf - -inf = nan only where the mask below drops it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_laws = np.log(laws)
+        for lo in range(0, len(first), chunk):
+            a, b = first[lo : lo + chunk], second[lo : lo + chunk]
+            one_sided = positive[a] != positive[b]
+            count = int(np.count_nonzero(one_sided))
+            zero_violations += count
+            if count and max_ratio < np.inf:
+                max_ratio = np.inf
+                pair, out = divmod(int(one_sided.argmax()), len(support))
+                witness = (lo + pair, out)
+            if max_ratio == np.inf:
                 continue
-            pairs += 1
-            pa, pb = laws[a], laws[b]
-            one_sided = (pa == 0.0) != (pb == 0.0)
-            if np.any(one_sided):
-                zero_violations += int(np.count_nonzero(one_sided))
-                if not (worst and worst.get("log_ratio") is None):
-                    idx = int(np.flatnonzero(one_sided)[0])
-                    worst = {
-                        "input_a": inputs[a].tokens(),
-                        "input_b": inputs[b].tokens(),
-                        "output": support[idx].tokens(),
-                        "log_ratio": None,
-                    }
-                max_ratio = float("inf")
-                continue
-            both = (pa > 0.0) & (pb > 0.0)
-            if not np.any(both):
-                continue
-            diffs = np.abs(log_laws[a, both] - log_laws[b, both])
-            local = float(diffs.max())
-            if local > max_ratio:
-                max_ratio = local
-                idx = int(np.flatnonzero(both)[int(diffs.argmax())])
-                worst = {
-                    "input_a": inputs[a].tokens(),
-                    "input_b": inputs[b].tokens(),
-                    "output": support[idx].tokens(),
-                    "log_ratio": local,
-                }
+            # -1 marks outputs outside the pair's common support
+            both = positive[a] & positive[b]
+            diffs = np.where(both, np.abs(log_laws[a] - log_laws[b]), -1.0)
+            local = diffs.max(axis=1)
+            pair = int(local.argmax())
+            if local[pair] > max_ratio:
+                max_ratio = float(local[pair])
+                witness = (lo + pair, int(diffs[pair].argmax()))
+
+    worst = None
+    if witness is not None:
+        pair, out = witness
+        worst = {
+            "input_a": inputs[first[pair]].tokens(),
+            "input_b": inputs[second[pair]].tokens(),
+            "output": support[out].tokens(),
+            "log_ratio": None if max_ratio == np.inf else max_ratio,
+        }
 
     threshold = config.epsilon + 1e-9
     passed = zero_violations == 0 and max_ratio <= threshold
@@ -423,5 +419,5 @@ def verify_dp(
         passed=passed,
         worst_pair=worst,
         zero_support_violations=zero_violations,
-        pairs_checked=pairs,
+        pairs_checked=len(first),
     )

@@ -11,7 +11,15 @@ import itertools
 
 import numpy as np
 
-from worddp import Alphabet, MarkovChain, Word
+from worddp import Alphabet, MarkovChain, Word, hamming_distance
+from worddp.markov import _word_plan, markov_online_policy
+from worddp.mechanisms import (
+    OnlinePolicy,
+    _match_probability,
+    distance_distribution,
+    online_policy,
+)
+from worddp.oracle import DpReport, OutputDistribution, _check_exact_size, all_words
 
 
 def brute_words(alphabet: Alphabet, n: int) -> list[Word]:
@@ -108,3 +116,225 @@ class TopUniformRng:
 
     def integers(self, high: int) -> int:
         return 0
+
+
+# -- loop reference for the exhaustive verifier ------------------------------
+#
+# The oracle's per-word enumeration laws and per-pair scan as they stood
+# before the verifier was vectorized.  ``worddp.oracle`` must match them
+# bit for bit: ``np.array_equal`` on every law matrix and ``==`` on every
+# ``DpReport``.
+
+
+def _loop_offline_law(word: Word, config) -> OutputDistribution:
+    n, m = len(word), len(word.alphabet)
+    _check_exact_size(n, m)
+    dist = distance_distribution(n, m, config.epsilon, config.k)
+    support = all_words(word.alphabet, n)
+    vec = []
+    for w in support:
+        needed = hamming_distance(word, w)
+        p = dist[needed]
+        for i, (x_i, w_i) in enumerate(zip(word.symbols, w.symbols)):
+            keep = _match_probability(n - i, needed)
+            if x_i == w_i:
+                p *= keep
+            else:
+                p *= (1.0 - keep) / (m - 1)
+                needed -= 1
+        vec.append(p)
+    arr = np.array(vec)
+    return OutputDistribution(tuple(support), arr / arr.sum())
+
+
+def _loop_online_law(word: Word, config, policy=None) -> OutputDistribution:
+    n, m = len(word), len(word.alphabet)
+    _check_exact_size(n, m)
+    if policy is None:
+        policy = online_policy(m, config.epsilon, config.k)
+    support = all_words(word.alphabet, n)
+    rows = [policy.probabilities(s) for s in word.symbols]
+    vec = np.array(
+        [
+            float(np.prod([rows[i][w.symbols[i]] for i in range(n)]))
+            for w in support
+        ]
+    )
+    return OutputDistribution(tuple(support), vec / vec.sum())
+
+
+def _loop_markov_offline_law(chain, word: Word, config) -> OutputDistribution:
+    n = len(word)
+    _check_exact_size(n, chain.n_states)
+    chain.require_feasible(word)
+    plan = _word_plan(chain, word)
+    dist = plan.law(config.epsilon, config.k)
+    counts = plan.counts()
+    support = tuple(chain.feasible_words(n))
+    vec = []
+    for w in support:
+        d = hamming_distance(word, w)
+        vec.append(dist[d] * (1 / counts[d]))
+    arr = np.array(vec)
+    return OutputDistribution(support, arr / arr.sum())
+
+
+def _loop_markov_online_law(
+    chain, word: Word, config, *, initial_output=None, tau_override=None
+) -> OutputDistribution:
+    n = len(word)
+    _check_exact_size(n, chain.n_states)
+    policy = markov_online_policy(chain, config.epsilon, config.k)
+    if initial_output is None:
+        start = chain.initial
+    elif isinstance(initial_output, str):
+        start = chain.states.index(initial_output)
+    else:
+        start = int(initial_output)
+
+    def row_prob(output: int, true_state: int, prev: int) -> float:
+        if tau_override is None:
+            return policy.probability(output, true_state, prev)
+        if not chain.can_follow(output, prev):
+            return 0.0
+        n_succ = chain.n_successors(prev)
+        if chain.can_follow(true_state, prev):
+            if output == true_state:
+                return tau_override
+            if n_succ == 1:
+                return 0.0
+            return (1.0 - tau_override) / (n_succ - 1)
+        return 1.0 / n_succ
+
+    support = list(chain.with_initial(start).feasible_words(n))
+    vec = []
+    for w in support:
+        prev = start
+        p = 1.0
+        for i in range(n):
+            p *= row_prob(w.symbols[i], word.symbols[i], prev)
+            prev = w.symbols[i]
+        vec.append(p)
+    arr = np.array(vec)
+    return OutputDistribution(tuple(support), arr / arr.sum())
+
+
+def loop_law_matrix(kind, inputs, config, chain, tau_override, initial_output):
+    """Law matrix ``[inputs x outputs]`` and the shared support, one
+    enumeration per input word."""
+    laws = []
+    support = None
+    for w in inputs:
+        if kind == "offline":
+            law = _loop_offline_law(w, config)
+        elif kind == "online":
+            policy = None
+            if tau_override is not None:
+                policy = OnlinePolicy(
+                    tau=tau_override, alphabet_size=len(w.alphabet)
+                )
+            law = _loop_online_law(w, config, policy=policy)
+        elif kind == "mc-offline":
+            assert chain is not None
+            law = _loop_markov_offline_law(chain, w, config)
+        elif kind == "mc-online":
+            assert chain is not None
+            law = _loop_markov_online_law(
+                chain,
+                w,
+                config,
+                initial_output=initial_output,
+                tau_override=tau_override,
+            )
+        else:
+            raise ValueError(f"unknown mechanism kind {kind!r}")
+        if support is None:
+            support = law.words
+        elif support != law.words:
+            raise AssertionError("laws disagree on output support ordering")
+        laws.append(law.probabilities)
+    assert support is not None
+    return np.array(laws), support
+
+
+def loop_verify_dp(
+    kind, *, n, config, alphabet=None, chain=None, tau_override=None,
+    initial_output=None,
+):
+    """``verify_dp`` by a Python loop over every input pair."""
+    if kind in ("offline", "online"):
+        if alphabet is None:
+            raise ValueError(f"{kind} verification needs an alphabet")
+        inputs = all_words(alphabet, n)
+        space = len(alphabet)
+    elif kind in ("mc-offline", "mc-online"):
+        if chain is None:
+            raise ValueError(f"{kind} verification needs a chain")
+        if kind == "mc-offline":
+            inputs = list(chain.feasible_words(n))
+        else:
+            # the per-state sampler accepts any input path, so check all
+            inputs = all_words(chain.states, n)
+        space = chain.n_states
+    else:
+        raise ValueError(f"unknown mechanism kind {kind!r}")
+
+    laws, support = loop_law_matrix(
+        kind, inputs, config, chain, tau_override, initial_output
+    )
+    with np.errstate(divide="ignore"):
+        log_laws = np.log(laws)
+
+    max_ratio = 0.0
+    worst = None
+    zero_violations = 0
+    pairs = 0
+    for a in range(len(inputs)):
+        for b in range(a + 1, len(inputs)):
+            if hamming_distance(inputs[a], inputs[b]) > config.k:
+                continue
+            pairs += 1
+            pa, pb = laws[a], laws[b]
+            one_sided = (pa == 0.0) != (pb == 0.0)
+            if np.any(one_sided):
+                zero_violations += int(np.count_nonzero(one_sided))
+                if not (worst and worst.get("log_ratio") is None):
+                    idx = int(np.flatnonzero(one_sided)[0])
+                    worst = {
+                        "input_a": inputs[a].tokens(),
+                        "input_b": inputs[b].tokens(),
+                        "output": support[idx].tokens(),
+                        "log_ratio": None,
+                    }
+                max_ratio = float("inf")
+                continue
+            both = (pa > 0.0) & (pb > 0.0)
+            if not np.any(both):
+                continue
+            diffs = np.abs(log_laws[a, both] - log_laws[b, both])
+            local = float(diffs.max())
+            if local > max_ratio:
+                max_ratio = local
+                idx = int(np.flatnonzero(both)[int(diffs.argmax())])
+                worst = {
+                    "input_a": inputs[a].tokens(),
+                    "input_b": inputs[b].tokens(),
+                    "output": support[idx].tokens(),
+                    "log_ratio": local,
+                }
+
+    threshold = config.epsilon + 1e-9
+    passed = zero_violations == 0 and max_ratio <= threshold
+    return DpReport(
+        mechanism=kind,
+        epsilon=config.epsilon,
+        k=config.k,
+        n=n,
+        space_size=space,
+        max_log_ratio=max_ratio,
+        threshold=threshold,
+        passed=passed,
+        worst_pair=worst,
+        zero_support_violations=zero_violations,
+        pairs_checked=pairs,
+    )

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +361,33 @@ class TestVerify:
     def test_unknown_mode_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--mode", "sideways")
         assert code == EXIT_USAGE
+
+
+VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_golden.json"
+
+
+class TestVerifyGolden:
+    """``verify`` prints, exits and reports as recorded before the
+    verifier was vectorized: n = 4, m = 3, the bundled chain, plus the
+    ``--break-tau`` control and ``--k 2``."""
+
+    @pytest.mark.parametrize("name", ["default", "break-tau", "k2"])
+    def test_matches_golden(self, capsys, tmp_path, data_dir, name):
+        case = next(
+            c for c in json.loads(VERIFY_GOLDEN.read_text(encoding="utf-8"))["cases"]
+            if c["name"] == name
+        )
+        args = [
+            str(data_dir / "four_state_chain.json")
+            if a == "data/four_state_chain.json" else a
+            for a in case["args"]
+        ]
+        out_path = tmp_path / "reports.json"
+        code, out, err = run_cli(capsys, *args, "--out", str(out_path))
+        assert code == case["exit_code"]
+        assert out.splitlines() == case["stdout"] + [f"wrote {out_path}"]
+        assert err.splitlines() == case["stderr"]
+        assert json.loads(out_path.read_text()) == case["reports"]
 
 
 class TestEntryPoint:

@@ -77,6 +77,19 @@ class TestWord:
         with pytest.raises(ValueError):
             Word((-1,), AB3)
 
+    def test_error_names_first_bad_position(self):
+        with pytest.raises(ValueError) as err:
+            Word((0, 1, 5, -1, 7), AB3)
+        assert str(err.value) == (
+            "symbol index 5 at position 2 is outside the alphabet (size 3)"
+        )
+
+    def test_numpy_integers_become_int(self):
+        w = Word(np.array([2, 0, 1], dtype=np.int16), AB3)
+        assert w.symbols == (2, 0, 1)
+        assert all(type(s) is int for s in w.symbols)
+        assert w == Word((2, 0, 1), AB3)
+
     def test_hashable_and_equal(self):
         assert Word((0, 1), AB3) == Word((0, 1), AB3)
         assert len({Word((0, 1), AB3), Word((0, 1), AB3)}) == 1

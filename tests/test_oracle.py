@@ -1,5 +1,7 @@
 import json
+import warnings
 from math import exp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from worddp import (
     online_policy,
 )
 from worddp.markov import MarkovChain
+from worddp import oracle
 from worddp.oracle import (
     OutputDistribution,
+    _law_matrix,
     all_words,
     exact_markov_offline_law,
     exact_markov_online_law,
@@ -23,7 +27,12 @@ from worddp.oracle import (
     exponential_mechanism,
     verify_dp,
 )
-from helpers import brute_feasible_words, random_chain
+from helpers import (
+    brute_feasible_words,
+    loop_law_matrix,
+    loop_verify_dp,
+    random_chain,
+)
 
 AB2 = Alphabet(("a", "b"))
 AB3 = Alphabet(("a", "b", "c"))
@@ -128,6 +137,12 @@ class TestOnlineLaw:
         broken = OnlinePolicy(tau=1.0, alphabet_size=2)
         law = exact_online_law(word, cfg, policy=broken)
         assert law.prob_of(word) == pytest.approx(1.0, abs=1e-14)
+
+    def test_policy_of_another_alphabet_rejected(self):
+        word = encode_word(["a", "b"], AB2)
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        with pytest.raises(ValueError, match="alphabet size"):
+            exact_online_law(word, cfg, policy=online_policy(3, 1.0, 1))
 
 
 class TestMarkovOfflineLaw:
@@ -283,3 +298,160 @@ class TestVerifyDp:
             "online", n=2, config=cfg, alphabet=AB2, tau_override=1.0
         )
         assert report.to_json_dict()["max_log_ratio"] is None
+
+
+# (epsilon, k) pairs: every epsilon in {0, 0.1, 1, 2.5} and every k in
+# {1, 2, 5}, where k = 5 exceeds every checked length
+LOOP_CONFIGS = [(0.0, 1), (0.1, 2), (1.0, 5), (2.5, 1), (1.0, 2)]
+
+
+def unreachable_chain() -> MarkovChain:
+    """From its start s2, s0 and s1 are never reachable, so inputs that
+    differ only there share a per-state law: the first one-sided pair of
+    a ``tau = 1`` check is not the first adjacent pair."""
+    matrix = np.array(
+        [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]]
+    )
+    return MarkovChain(("s0", "s1", "s2", "s3"), matrix, initial=2)
+
+
+# a 1-state chain, chains of 2, 3 and 4 states, one with unreachable
+# states, and the bundled one
+LOOP_CHAINS = {
+    "single": lambda: complete_chain(1),
+    "unreachable": unreachable_chain,
+    "random-2": lambda: random_chain(5, 2),
+    "random-3": lambda: random_chain(3, 3),
+    "random-4": lambda: random_chain(99),
+    "four-state": lambda: MarkovChain.load(
+        Path(__file__).resolve().parent.parent / "data" / "four_state_chain.json"
+    ),
+}
+
+
+def _instances(kind, n, chain=None, alphabet=None, configs=LOOP_CONFIGS):
+    """Keyword arguments of ``verify_dp``: each config, then the negative
+    control and, for ``mc-online``, starts from state 1 by name and index."""
+    variants = [(config, None, None) for config in configs]
+    if kind.endswith("online"):
+        variants.append(((1.0, 1), 1.0, None))
+    if kind == "mc-online" and chain.n_states > 1:
+        variants += [((1.0, 2), None, "s1"), ((0.1, 1), 1.0, 1)]
+    for (eps, k), tau, start in variants:
+        yield dict(
+            n=n,
+            config=MechanismConfig(epsilon=eps, k=k, seed=0),
+            alphabet=alphabet,
+            chain=chain,
+            tau_override=tau,
+            initial_output=start,
+        )
+
+
+def _assert_matches_loop(kind, **kwargs):
+    if kind in ("offline", "online"):
+        inputs = all_words(kwargs["alphabet"], kwargs["n"])
+    elif kind == "mc-offline":
+        inputs = list(kwargs["chain"].feasible_words(kwargs["n"]))
+    else:
+        inputs = all_words(kwargs["chain"].states, kwargs["n"])
+    args = (
+        kind, inputs, kwargs["config"], kwargs["chain"],
+        kwargs["tau_override"], kwargs["initial_output"],
+    )
+    laws, support = _law_matrix(*args)
+    ref_laws, ref_support = loop_law_matrix(*args)
+    assert support == ref_support
+    assert np.array_equal(laws, ref_laws)
+    report = verify_dp(kind, **kwargs)
+    assert report == loop_verify_dp(kind, **kwargs)
+    return report
+
+
+class TestMatchesLoopReference:
+    """The vectorized laws and pair scan equal the per-word enumeration
+    and the per-pair loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind, m, n",
+        [
+            (kind, m, n)
+            for kind in ("offline", "online")
+            for m in (1, 2, 3, 4)
+            for n in (1, 2, 3, 4)
+            # the chunk test below covers the largest space
+            if (m, n) != (4, 4)
+        ],
+    )
+    def test_free_modes(self, kind, m, n):
+        alphabet = Alphabet(tuple("abcd"[:m]))
+        configs = LOOP_CONFIGS if n < 4 else [(1.0, 2)]
+        for kwargs in _instances(kind, n, alphabet=alphabet, configs=configs):
+            _assert_matches_loop(kind, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kind, chain_name, n",
+        [
+            (kind, name, n)
+            for kind in ("mc-offline", "mc-online")
+            for name in sorted(LOOP_CHAINS)
+            for n in (1, 2, 3, 4)
+            # one 4-state chain is enough for the slow loop at 4^4 inputs
+            if (kind, name, n) != ("mc-online", "random-4", 4)
+        ],
+    )
+    def test_chain_modes(self, kind, chain_name, n):
+        chain = LOOP_CHAINS[chain_name]()
+        configs = LOOP_CONFIGS if n < 4 else [(1.0, 2)]
+        for kwargs in _instances(kind, n, chain=chain, configs=configs):
+            _assert_matches_loop(kind, **kwargs)
+
+    def test_pairs_span_several_chunks(self):
+        kwargs = next(
+            _instances(
+                "offline", 4, alphabet=Alphabet(tuple("abcd")),
+                configs=[(1.0, 2)],
+            )
+        )
+        report = _assert_matches_loop("offline", **kwargs)
+        chunk = oracle._SCAN_ELEMENTS // 4**4
+        assert report.pairs_checked == 8448 > 8 * chunk
+
+    @pytest.mark.parametrize("elements", [1, 50])
+    @pytest.mark.parametrize("kind", ["offline", "online", "mc-offline", "mc-online"])
+    def test_chunk_boundaries(self, kind, elements, monkeypatch, four_state_chain):
+        # chunks of one pair, or a few, put the first one-sided pair and
+        # the worst pair away from the first chunk
+        monkeypatch.setattr(oracle, "_SCAN_ELEMENTS", elements)
+        if kind in ("offline", "online"):
+            instances = _instances(kind, 3, alphabet=AB3, configs=[(1.0, 2)])
+        else:
+            instances = [
+                kwargs
+                for chain in (four_state_chain, unreachable_chain())
+                for kwargs in _instances(kind, 3, chain=chain, configs=[(1.0, 2)])
+            ]
+        for kwargs in instances:
+            _assert_matches_loop(kind, **kwargs)
+
+
+class TestNoNumpyWarnings:
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [
+            ("online", dict(alphabet=AB3, tau_override=1.0)),
+            ("mc-online", dict(chain="four-state", tau_override=1.0)),
+            ("offline", dict(alphabet=Alphabet(("a",)))),
+            ("online", dict(alphabet=Alphabet(("a",)))),
+            ("mc-offline", dict(chain="single")),
+            ("mc-online", dict(chain="single")),
+        ],
+    )
+    def test_verify_is_silent(self, kind, kwargs):
+        if "chain" in kwargs:
+            kwargs = dict(kwargs, chain=LOOP_CHAINS[kwargs["chain"]]())
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_dp(kind, n=3, config=cfg, **kwargs)
+        assert report.passed == (kwargs.get("tau_override") is None)
