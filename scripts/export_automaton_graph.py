@@ -24,7 +24,7 @@ def main() -> None:
 
     alphabet = Alphabet(tuple(args.alphabet.split(",")))
     word = encode_word(args.word.split(), alphabet)
-    automaton = DistanceAutomaton(word, args.distance).synthesize_policy()
+    automaton = DistanceAutomaton(word, args.distance)
     automaton.write_dot(args.out)
     print(
         f"wrote {args.out}: {automaton.num_states} states, "

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from worddp.markov import DistanceCounts, MarkovChain
-from worddp.mechanisms import _logsumexp
+from worddp.mechanisms import _check_params, _logsumexp
 
 __all__ = [
     "Moments",
@@ -51,7 +51,7 @@ def offline_moments(n: int, m: int, epsilon: float, k: int) -> Moments:
     """Mean and variance of the whole-word mechanism's output distance:
     ``E = n - n / ((m-1) exp(-eps/2k) + 1)`` and the matching binomial
     variance."""
-    _check_params(n, m, epsilon, k)
+    _check_params(epsilon, k, n=n, m=m)
     return _binomial_moments(n, (m - 1) * exp(-epsilon / (2.0 * k)))
 
 
@@ -59,19 +59,8 @@ def online_moments(n: int, m: int, epsilon: float, k: int) -> Moments:
     """Same shape as :func:`offline_moments` with the per-symbol budget
     ``epsilon/k`` in place of ``epsilon/2k``; the per-symbol mechanism pays
     twice the exponent for the same budget."""
-    _check_params(n, m, epsilon, k)
+    _check_params(epsilon, k, n=n, m=m)
     return _binomial_moments(n, (m - 1) * exp(-epsilon / k))
-
-
-def _check_params(n: int, m: int, epsilon: float, k: int) -> None:
-    if n < 1:
-        raise ValueError("word length n must be at least 1")
-    if m < 1:
-        raise ValueError("alphabet size m must be at least 1")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if k < 1:
-        raise ValueError("adjacency level k must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ automaton's states form a grid ``(i, e)``: ``i`` symbols emitted so far,
 language is exactly the set of words at Hamming distance ``j`` from ``x``.
 
 States that cannot reach acceptance are pruned, which confines ``e`` to the
-band ``max(0, j - (n - i)) <= e <= min(i, j)``.  A backward pass counts the
-accepting paths ``V(i, e)`` below each state; transition probabilities
-proportional to the successor counts make every accepted word equally
-likely, at O(n) work per generated word.
+band ``max(0, j - (n - i)) <= e <= min(i, j)``.  The accepting paths below a
+surviving state number ``V(i, e) = C(r, d) * (m-1)^d`` with ``r = n - i``
+positions left and ``d = j - e`` mismatches still to place, so nothing is
+tabulated.  Transition probabilities proportional to the successor counts
+make every accepted word equally likely; :meth:`DistanceAutomaton.sample` is
+the walk :func:`~worddp.mechanisms.privatize_offline` takes, at O(n) work
+per generated word.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from worddp.core import Word
+from worddp.mechanisms import _match_probability, _walk
 
 __all__ = ["DistanceAutomaton"]
 
@@ -49,8 +53,6 @@ class DistanceAutomaton:
         self.distance = distance
         self._n = n
         self._m = m
-        self._counts: dict[tuple[int, int], int] | None = None
-        self._match_prob: dict[tuple[int, int], float] | None = None
 
     # -- state space ------------------------------------------------------
 
@@ -72,38 +74,18 @@ class DistanceAutomaton:
     # -- path counting and policy -----------------------------------------
 
     def synthesize_policy(self) -> "DistanceAutomaton":
-        """Compute accepting-path counts and the uniform-output policy.
+        """No-op kept for compatibility: counts and policy are closed forms.
 
-        Idempotent; returns ``self`` so construction can be chained.
+        Returns ``self`` so construction can be chained.
         """
-        if self._counts is not None:
-            return self
-        n, j, m = self._n, self.distance, self._m
-        counts: dict[tuple[int, int], int] = {(n, j): 1}
-        for i in range(n - 1, -1, -1):
-            band_next = self._band(i + 1)
-            for e in self._band(i):
-                total = 0
-                if e in band_next:
-                    total += counts[(i + 1, e)]
-                if e + 1 in band_next:
-                    total += (m - 1) * counts[(i + 1, e + 1)]
-                counts[(i, e)] = total
-        match_prob = {}
-        for i in range(n):
-            band_next = self._band(i + 1)
-            for e in self._band(i):
-                stay = counts[(i + 1, e)] if e in band_next else 0
-                match_prob[(i, e)] = stay / counts[(i, e)]
-        self._counts = counts
-        self._match_prob = match_prob
         return self
 
     def path_count(self, i: int, e: int) -> int:
         """Accepting paths below state ``(i, e)``; 0 for pruned states."""
-        self.synthesize_policy()
-        assert self._counts is not None
-        return self._counts.get((i, e), 0)
+        if e not in self._band(i):
+            return 0
+        needed = self.distance - e
+        return comb(self._n - i, needed) * (self._m - 1) ** needed
 
     @property
     def language_size(self) -> int:
@@ -112,11 +94,9 @@ class DistanceAutomaton:
 
     def transition_probability(self, i: int, e: int, symbol: int) -> float:
         """Policy probability of emitting ``symbol`` from state ``(i, e)``."""
-        self.synthesize_policy()
-        assert self._match_prob is not None
-        if (i, e) not in self._match_prob:
+        if i >= self._n or e not in self._band(i):
             return 0.0
-        p_match = self._match_prob[(i, e)]
+        p_match = _match_probability(self._n - i, self.distance - e)
         if symbol == self.word.symbols[i]:
             return p_match
         return (1.0 - p_match) / (self._m - 1)
@@ -124,24 +104,9 @@ class DistanceAutomaton:
     # -- sampling and evaluation -------------------------------------------
 
     def sample(self, rng: np.random.Generator) -> Word:
-        """Draw one word uniformly from the accepted language.
-
-        Consumes one uniform per position plus one integer draw per
-        mismatching position, in left-to-right order.
-        """
-        self.synthesize_policy()
-        assert self._match_prob is not None
-        m = self._m
-        symbols = []
-        e = 0
-        for i, x_i in enumerate(self.word.symbols):
-            if rng.random() < self._match_prob[(i, e)]:
-                symbols.append(x_i)
-            else:
-                offset = int(rng.integers(m - 1))
-                symbols.append((x_i + 1 + offset) % m)
-                e += 1
-        return Word(tuple(symbols), self.word.alphabet)
+        """Draw one word uniformly from the accepted language, taking from
+        ``rng`` what :func:`~worddp.mechanisms._walk` takes."""
+        return _walk(self.word, self.distance, rng)
 
     def accepts(self, candidate: Word) -> bool:
         if candidate.alphabet != self.word.alphabet or len(candidate) != self._n:
@@ -159,19 +124,14 @@ class DistanceAutomaton:
         """Exact rational output probability along the unique run."""
         if not self.accepts(candidate):
             return Fraction(0)
-        self.synthesize_policy()
-        assert self._counts is not None
         prob = Fraction(1)
         e = 0
         for i, (got, want) in enumerate(
             zip(candidate.symbols, self.word.symbols)
         ):
-            here = self._counts[(i, e)]
-            if got == want:
-                prob *= Fraction(self._counts[(i + 1, e)], here)
-            else:
-                prob *= Fraction(self._counts[(i + 1, e + 1)], here)
-                e += 1
+            here = self.path_count(i, e)
+            e += got != want
+            prob *= Fraction(self.path_count(i + 1, e), here)
         return prob
 
     def iter_language(self) -> Iterator[Word]:
@@ -200,17 +160,8 @@ class DistanceAutomaton:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def closed_form_count(self, i: int, e: int) -> int:
-        """Independent formula for the path count below ``(i, e)``."""
-        remaining = self._n - i
-        needed = self.distance - e
-        if not 0 <= needed <= remaining:
-            return 0
-        return comb(remaining, needed) * (self._m - 1) ** needed
-
     def to_dot(self) -> str:
         """Graph description (DOT) with path counts and policy labels."""
-        self.synthesize_policy()
         lines = [
             "digraph distance_automaton {",
             "  rankdir=LR;",

@@ -48,6 +48,14 @@ EXIT_INFEASIBLE = 3
 FREE_MODES = ("offline", "online")
 CHAIN_MODES = ("mc-offline", "mc-online")
 ALL_MODES = FREE_MODES + CHAIN_MODES
+# each mode's release; a chain mode's takes the chain, started at the
+# public start, as its first argument
+RELEASES = {
+    "offline": privatize_offline,
+    "online": privatize_online,
+    "mc-offline": privatize_markov_offline,
+    "mc-online": privatize_markov_online,
+}
 
 
 class VerificationFailed(Exception):
@@ -88,7 +96,8 @@ def cli() -> None:
                    "path there, mc-offline reads the input and releases a "
                    "path from there")
 @click.option("--emit-distance", is_flag=True,
-              help="also print the Hamming distance to the input")
+              help="also print the Hamming distance to the input; it is "
+                   "computed from the secret input and is not private")
 def cmd_privatize(
     mode: str,
     epsilon: float,
@@ -102,7 +111,7 @@ def cmd_privatize(
 ) -> None:
     """Release one privatized word on stdout."""
     config = MechanismConfig(epsilon=epsilon, k=k, seed=seed)
-    tokens = input_text.split()
+    release = RELEASES[mode]
     if mode in FREE_MODES:
         if alphabet_spec is None:
             raise click.UsageError(f"--alphabet is required for mode {mode}")
@@ -111,24 +120,16 @@ def cmd_privatize(
                 f"--initial-output applies to the chain modes, not {mode}"
             )
         alphabet = _load_alphabet(alphabet_spec)
-        word = encode_word(tokens, alphabet)
-        if mode == "offline":
-            released = privatize_offline(word, config)
-        else:
-            released = privatize_online(word, config)
     else:
         if chain_path is None:
             raise click.UsageError(f"--chain is required for mode {mode}")
         chain = MarkovChain.load(chain_path)
-        word = chain.word(tokens)
-        if mode == "mc-offline":
-            if initial_output is not None:
-                chain = chain.with_initial(initial_output)
-            released = privatize_markov_offline(chain, word, config)
-        else:
-            released = privatize_markov_online(
-                chain, word, config, initial_output=initial_output
-            )
+        if initial_output is not None:
+            chain = chain.with_initial(initial_output)
+        alphabet = chain.states
+        release = partial(release, chain)
+    word = encode_word(input_text.split(), alphabet)
+    released = release(word, config)
     click.echo(released.text())
     if emit_distance:
         click.echo(str(hamming_distance(word, released)))
@@ -187,6 +188,14 @@ class ExperimentSpec:
             raise ValueError(f"{self.mechanism} experiments need an alphabet")
         if self.mechanism in CHAIN_MODES and self.chain is None:
             raise ValueError(f"{self.mechanism} experiments need a chain")
+        if self.mechanism in FREE_MODES and self.initial_states:
+            raise ValueError(
+                f"initial states apply to the chain modes, not {self.mechanism}"
+            )
+
+
+# the free modes' closed-form moments of the output distance
+MOMENTS = {"offline": offline_moments, "online": online_moments}
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
@@ -197,38 +206,31 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """
     n = len(spec.input_tokens)
     if spec.mechanism in FREE_MODES:
-        states: tuple[str, ...] = ("",)
-        space = len(spec.alphabet)  # type: ignore[arg-type]
-        word = encode_word(spec.input_tokens, spec.alphabet)
+        alphabet, states = spec.alphabet, ("",)
+        starts: dict[str, MarkovChain | None] = {"": None}
     else:
-        chain = spec.chain
-        assert chain is not None
-        states = spec.initial_states or (chain.initial_token,)
-        space = chain.n_states
-        word = chain.word(spec.input_tokens)
-        # one chain per start, so that its mc-offline plan serves every epsilon
-        starts = {state: chain.with_initial(state) for state in states}
+        assert spec.chain is not None
+        alphabet = spec.chain.states
+        states = spec.initial_states or (spec.chain.initial_token,)
+        # one chain per start, so that its plans serve every epsilon
+        starts = {state: spec.chain.with_initial(state) for state in states}
+    space = len(alphabet)  # type: ignore[arg-type]
+    word = encode_word(spec.input_tokens, alphabet)
 
     cells = [(eps, st) for eps in spec.epsilon_grid for st in states]
     streams = split_rngs(spec.seed, len(cells))
     rows = []
     for (eps, state), rng in zip(cells, streams):
         config = MechanismConfig(epsilon=eps, k=spec.k, seed=spec.seed)
-        if spec.mechanism == "offline":
-            release = partial(privatize_offline, word, config, rng)
-        elif spec.mechanism == "online":
-            release = partial(privatize_online, word, config, rng)
-        elif spec.mechanism == "mc-offline":
-            release = partial(
-                privatize_markov_offline, starts[state], word, config, rng
-            )
-        else:
-            release = partial(
-                privatize_markov_online, chain, word, config,
-                initial_output=state, rng=rng,
-            )
+        chain = starts[state]
+        release = RELEASES[spec.mechanism]
+        if chain is not None:
+            release = partial(release, chain)
         distances = np.array(
-            [hamming_distance(word, release()) for _ in range(spec.samples)],
+            [
+                hamming_distance(word, release(word, config, rng=rng))
+                for _ in range(spec.samples)
+            ],
             dtype=float,
         )
 
@@ -248,11 +250,8 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
             "empirical_mean": float(distances.mean()),
             "empirical_se": stats.se_mean if stats else "",
         }
-        if spec.mechanism in FREE_MODES:
-            moments = (
-                offline_moments if spec.mechanism == "offline" else online_moments
-            )
-            mom = moments(n, space, eps, spec.k)
+        if spec.mechanism in MOMENTS:
+            mom = MOMENTS[spec.mechanism](n, space, eps, spec.k)
             row.update(
                 expectation=mom.expectation,
                 variance=mom.variance,
@@ -260,9 +259,8 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
                 upper=mom.expectation,
             )
         elif spec.mechanism == "mc-offline":
-            cell_chain = starts[state]
-            counts = feasible_distance_counts(cell_chain, word)
-            bounds = markov_offline_bounds(n, cell_chain, eps, spec.k, counts)
+            counts = feasible_distance_counts(chain, word)
+            bounds = markov_offline_bounds(n, chain, eps, spec.k, counts)
             row.update(
                 expectation="", variance="",
                 lower=bounds.lower, upper=bounds.upper,

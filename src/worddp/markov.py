@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from worddp.core import Alphabet, MechanismConfig, Word, encode_word
-from worddp.mechanisms import DistanceDistribution, _logsumexp
+from worddp.mechanisms import DistanceDistribution, _check_params, _logsumexp
 
 __all__ = [
     "InfeasibleWordError",
@@ -632,10 +632,7 @@ class MarkovOnlinePolicy:
     """
 
     def __init__(self, chain: MarkovChain, epsilon: float, k: int):
-        if epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if k < 1:
-            raise ValueError("adjacency level k must be at least 1")
+        _check_params(epsilon, k)
         self.chain = chain
         self.epsilon = epsilon
         self.k = k

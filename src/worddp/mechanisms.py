@@ -5,13 +5,16 @@ Two samplers share the same output law family:
 * :func:`privatize_offline` draws a target Hamming distance from a
   closed-form distribution and then a uniform word at that exact distance,
   giving the exponential-mechanism law over the whole word space without
-  enumerating it.  The uniform word comes from a closed-form walk of the
-  exact-distance automaton, so nothing is built or kept per input word.
+  enumerating it.  The uniform word comes from :func:`_walk`, the
+  exact-distance automaton's walk with its path counts in closed form, so
+  nothing is built or kept per input word;
+  :class:`~worddp.automaton.DistanceAutomaton` samples with the same walk.
 * :func:`privatize_online` perturbs one symbol at a time with a
   randomized-response rule, so symbols can be released as they arrive.
 
 Both assume adjacency bounded by ``k`` mismatches and satisfy word-level
-epsilon-differential privacy.
+epsilon-differential privacy.  :func:`_check_params` holds the checks on
+the public parameters ``(n, m, epsilon, k)`` that every module shares.
 """
 
 from __future__ import annotations
@@ -95,6 +98,19 @@ def _logsumexp(values) -> float:
     return float(np.log1p(rest) + np.log(count) + top)
 
 
+def _check_params(epsilon: float, k: int, *, n: int = 1, m: int = 1) -> None:
+    """Refuse public parameters no mechanism accepts: ``n < 1``, ``m < 1``,
+    ``epsilon < 0`` or ``k < 1``, checked in that order."""
+    if n < 1:
+        raise ValueError("word length n must be at least 1")
+    if m < 1:
+        raise ValueError("alphabet size m must be at least 1")
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    if k < 1:
+        raise ValueError("adjacency level k must be at least 1")
+
+
 @lru_cache(maxsize=128)
 def distance_distribution(
     n: int, m: int, epsilon: float, k: int
@@ -109,14 +125,7 @@ def distance_distribution(
     The law depends on public parameters only, so it is cached on them; the
     returned distribution is immutable.
     """
-    if n < 1:
-        raise ValueError("word length n must be at least 1")
-    if m < 1:
-        raise ValueError("alphabet size m must be at least 1")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if k < 1:
-        raise ValueError("adjacency level k must be at least 1")
+    _check_params(epsilon, k, n=n, m=m)
     if m == 1:
         probs = np.zeros(n + 1)
         probs[0] = 1.0
@@ -146,23 +155,16 @@ def _match_probability(remaining: int, needed: int) -> float:
     return (remaining - needed) / remaining
 
 
-def privatize_offline(
-    word: Word, config: MechanismConfig, rng: np.random.Generator | None = None
-) -> Word:
-    """Release a whole privatized word.
+def _walk(word: Word, needed: int, rng: np.random.Generator) -> Word:
+    """Uniform draw from the words at Hamming distance exactly ``needed``
+    from ``word``: the exact-distance automaton's walk, with its path
+    counts in closed form.
 
-    Draws the output distance first (one uniform), then walks the
-    exact-distance automaton for that target to pick a word uniformly
-    within the class: one uniform per position, kept with
-    :func:`_match_probability`, plus one integer draw selecting the
-    substitute at each mismatch.  The walk is the automaton's
-    :meth:`~worddp.automaton.DistanceAutomaton.sample` in closed form and
-    consumes the stream the same way, without building the automaton.
+    Consumes one uniform per position, kept with :func:`_match_probability`,
+    plus one integer draw selecting the substitute at each mismatch, in
+    left-to-right order.
     """
-    if rng is None:
-        rng = config.rng()
     n, m = len(word), len(word.alphabet)
-    needed = distance_distribution(n, m, config.epsilon, config.k).sample(rng)
     random, integers = rng.random, rng.integers
     symbols = []
     for i, x_i in enumerate(word.symbols):
@@ -172,6 +174,21 @@ def privatize_offline(
             symbols.append((x_i + 1 + int(integers(m - 1))) % m)
             needed -= 1
     return Word(tuple(symbols), word.alphabet)
+
+
+def privatize_offline(
+    word: Word, config: MechanismConfig, rng: np.random.Generator | None = None
+) -> Word:
+    """Release a whole privatized word.
+
+    Draws the output distance first (one uniform), then a word uniformly
+    within that distance class by :func:`_walk`.
+    """
+    if rng is None:
+        rng = config.rng()
+    n, m = len(word), len(word.alphabet)
+    needed = distance_distribution(n, m, config.epsilon, config.k).sample(rng)
+    return _walk(word, needed, rng)
 
 
 @dataclass(frozen=True)
@@ -213,12 +230,7 @@ def online_policy(m: int, epsilon: float, k: int) -> OnlinePolicy:
 
     Construction cost is O(1); the rule is the same at every position.
     """
-    if m < 1:
-        raise ValueError("alphabet size m must be at least 1")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if k < 1:
-        raise ValueError("adjacency level k must be at least 1")
+    _check_params(epsilon, k, m=m)
     if m == 1:
         return OnlinePolicy(tau=1.0, alphabet_size=1)
     tau = 1.0 / ((m - 1) * exp(-epsilon / k) + 1.0)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from worddp.core import Alphabet, MechanismConfig, Word, hamming_distance
-from worddp.markov import MarkovChain, _word_plan, markov_online_policy
+from worddp.markov import MarkovChain, _WordPlan, markov_online_policy
 from worddp.mechanisms import (
     OnlinePolicy,
     _logsumexp,
@@ -242,27 +242,26 @@ def _law_matrix(
     Returns the ``[inputs x outputs]`` matrix and the output support that
     every row shares.  Each entry is the product of the factors the
     release takes, position by position from the left, and each row is
-    normalized by its sum.
+    normalized by its sum.  A chain mode releases from ``initial_output``
+    when it is given, else from the chain's initial state.
     """
     n = len(inputs[0])
     eps, k = config.epsilon, config.k
-    if kind in ("offline", "online"):
+    free = kind in ("offline", "online")
+    if free:
         alphabet = inputs[0].alphabet
     elif kind in ("mc-offline", "mc-online"):
         assert chain is not None
+        if initial_output is not None:
+            chain = chain.with_initial(initial_output)
+        if any(word.alphabet != chain.states for word in inputs):
+            raise ValueError("word is not over this chain's state set")
         alphabet = chain.states
     else:
         raise ValueError(f"unknown mechanism kind {kind!r}")
     m = len(alphabet)
     _check_exact_size(n, m)
-    if kind == "mc-online":
-        start = chain.initial if initial_output is None else initial_output
-        start = chain.states.index(start) if isinstance(start, str) else int(start)
-        support = tuple(chain.with_initial(start).feasible_words(n))
-    elif kind == "mc-offline":
-        support = tuple(chain.feasible_words(n))
-    else:
-        support = tuple(all_words(alphabet, n))
+    support = tuple(all_words(alphabet, n) if free else chain.feasible_words(n))
     x, w = _symbols(inputs), _symbols(support)
     # differing symbols per (input, output): the Hamming distance
     distance = (x[:, None] != w[None]).sum(axis=-1)
@@ -290,7 +289,8 @@ def _law_matrix(
         by_distance = []
         for word in inputs:
             chain.require_feasible(word)
-            plan = _word_plan(chain, word)
+            # not through the chain's cache, which would evict its release plans
+            plan = _WordPlan(chain, word)
             dist, counts = plan.law(eps, k), plan.counts()
             by_distance.append(
                 [dist[d] * (1 / counts[d]) if counts[d] else 0.0 for d in range(n + 1)]
@@ -318,7 +318,7 @@ def _law_matrix(
             [row_prob(o, t, q) for q, t, o in itertools.product(range(m), repeat=3)]
         ).reshape(m, m, m)
         p = np.ones(distance.shape)
-        prev = np.full(len(support), start)
+        prev = np.full(len(support), chain.initial)
         for i in range(n):
             p = p * table[prev[None], x[:, i, None], w[None, :, i]]
             prev = w[:, i]
@@ -340,7 +340,8 @@ def verify_dp(
     For every pair of inputs within Hamming distance ``k`` the full output
     laws are compared pointwise; the report carries the largest absolute
     log-ratio and the witnesses.  A zero probability on one side only is
-    unbounded leakage and fails the check outright.
+    unbounded leakage and fails the check outright.  The chain modes are
+    checked on the chain started at ``initial_output`` when it is given.
 
     Pairs are scanned in row-major order, in chunks.  The witness is the
     first one-sided pair at its first one-sided output if there is one,
@@ -354,6 +355,8 @@ def verify_dp(
     elif kind in ("mc-offline", "mc-online"):
         if chain is None:
             raise ValueError(f"{kind} verification needs a chain")
+        if initial_output is not None:
+            chain = chain.with_initial(initial_output)
         if kind == "mc-offline":
             inputs = list(chain.feasible_words(n))
         else:
@@ -363,9 +366,7 @@ def verify_dp(
     else:
         raise ValueError(f"unknown mechanism kind {kind!r}")
 
-    laws, support = _law_matrix(
-        kind, inputs, config, chain, tau_override, initial_output
-    )
+    laws, support = _law_matrix(kind, inputs, config, chain, tau_override, None)
     positive = laws > 0.0
     x = _symbols(inputs)
     adjacent = (x[:, None] != x[None]).sum(axis=-1) <= config.k

@@ -108,6 +108,27 @@ def loop_suffix_table(chain: MarkovChain, word: Word) -> list[list[list[int]]]:
     return table
 
 
+def loop_distance_counts(n: int, m: int, j: int) -> dict[tuple[int, int], int]:
+    """Accepting-path counts ``V(i, e)`` of the exact-distance automaton
+    for length ``n``, ``m`` symbols and target ``j``, by the backward table
+    DP over the pruned band ``max(0, j - (n - i)) <= e <= min(i, j)``."""
+
+    def band(i: int) -> range:
+        return range(max(0, j - (n - i)), min(i, j) + 1)
+
+    counts: dict[tuple[int, int], int] = {(n, j): 1}
+    for i in range(n - 1, -1, -1):
+        band_next = band(i + 1)
+        for e in band(i):
+            total = 0
+            if e in band_next:
+                total += counts[(i + 1, e)]
+            if e + 1 in band_next:
+                total += (m - 1) * counts[(i + 1, e + 1)]
+            counts[(i, e)] = total
+    return counts
+
+
 class TopUniformRng:
     """Generator stand-in whose every uniform is the largest float below 1."""
 

@@ -7,7 +7,7 @@ criteria use fixed seeds, so every run sees identical numbers.
 
 import time
 from fractions import Fraction
-from math import comb, exp, sqrt
+from math import exp, sqrt
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from worddp.oracle import (
     verify_dp,
 )
 from conftest import ACCEPTANCE_LINES
-from helpers import random_chain
+from helpers import loop_distance_counts, random_chain
 
 EPS_GRID = (0.1, 1.0, 5.0)
 FREE_N, FREE_M = 15, 50
@@ -354,16 +354,19 @@ def test_criterion_09_closed_form_path_counts():
             word = Word(tuple(i % m for i in range(n)), alphabet)
             for j in range(n + 1):
                 automaton = DistanceAutomaton(word, j)
-                for i, e in automaton.states():
-                    direct = comb(n - i, j - e) * (m - 1) ** (j - e)
+                table = loop_distance_counts(n, m, j)
+                if set(automaton.states()) != set(table):
+                    mismatches += 1
+                for (i, e), count in table.items():
                     checked += 1
-                    if automaton.path_count(i, e) != direct:
+                    if automaton.path_count(i, e) != count:
                         mismatches += 1
     check(
         9,
         mismatches == 0 and checked > 0,
-        f"path counts vs C(n-i, j-e)*(m-1)^(j-e): {checked} states checked "
-        f"over n<=8, m<=5, all distances; {mismatches} mismatches",
+        f"closed-form path counts C(n-i, j-e)*(m-1)^(j-e) vs the table DP: "
+        f"{checked} states checked over n<=8, m<=5, all distances; "
+        f"{mismatches} mismatches",
     )
 
 

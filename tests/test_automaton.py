@@ -75,7 +75,6 @@ class TestCounts:
             for i, e in a.states():
                 direct = comb(n - i, j - e) * (m - 1) ** (j - e)
                 assert a.path_count(i, e) == direct
-                assert a.closed_form_count(i, e) == direct
 
     def test_counts_are_exact_integers_at_scale(self):
         # 10^59-ish counts survive only because the walk stays integral

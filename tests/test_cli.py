@@ -288,6 +288,19 @@ class TestExperiment:
         assert code == EXIT_USAGE
         assert "positive" in err
 
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    def test_initial_state_rejected_in_free_modes(self, capsys, tmp_path, mode):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys,
+            "experiment", "--mode", mode, "--epsilon", "1", "--samples", "5",
+            "--alphabet", "a,b", "--input", "a", "--initial-state", "zzz",
+            "--out", str(out_path),
+        )
+        assert code == EXIT_USAGE
+        assert "initial states" in err
+        assert not out_path.exists()
+
     def test_run_experiment_rejects_bad_spec(self):
         with pytest.raises(ValueError):
             ExperimentSpec(
@@ -388,6 +401,41 @@ class TestVerifyGolden:
         assert out.splitlines() == case["stdout"] + [f"wrote {out_path}"]
         assert err.splitlines() == case["stderr"]
         assert json.loads(out_path.read_text()) == case["reports"]
+
+
+CLI_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+class TestCliGolden:
+    """Seeded ``privatize`` and ``experiment`` output, byte for byte, for
+    every mode.  ``{storybook}`` is the bigram chain of the bundled corpus,
+    written as ``build-chain`` writes it, and ``{four_state}`` the bundled
+    four-state chain."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, data_dir, storybook_chain):
+        storybook_chain.save(tmp_path / "storybook.json")
+        return {
+            "{storybook}": str(tmp_path / "storybook.json"),
+            "{four_state}": str(data_dir / "four_state_chain.json"),
+            "{out}": str(tmp_path / "sweep.csv"),
+        }
+
+    @pytest.mark.parametrize("case", CLI_GOLDEN["privatize"])
+    def test_privatize(self, capsys, paths, case):
+        code, out, _ = run_cli(capsys, *(paths.get(a, a) for a in case["args"]))
+        assert (code, out) == (case["exit_code"], case["stdout"])
+
+    @pytest.mark.parametrize("case", CLI_GOLDEN["experiment"])
+    def test_experiment(self, capsys, paths, case):
+        args = [paths.get(a, a) for a in case["args"]] + ["--out", paths["{out}"]]
+        code, _, _ = run_cli(capsys, *args)
+        assert code == case["exit_code"]
+        assert Path(paths["{out}"]).read_text(encoding="utf-8") == case["csv"]
 
 
 class TestEntryPoint:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from worddp import (
     Alphabet,
-    DistanceAutomaton,
     DistanceDistribution,
     MechanismConfig,
     Word,
@@ -27,7 +26,7 @@ from worddp import (
     privatize_online_step,
 )
 from worddp.mechanisms import _logsumexp, _match_probability
-from helpers import TopUniformRng, chi_square_pvalue
+from helpers import TopUniformRng, chi_square_pvalue, loop_distance_counts
 
 AB3 = Alphabet(("a", "b", "c"))
 GOLDEN = Path(__file__).resolve().parent / "data" / "offline_golden.json"
@@ -267,21 +266,17 @@ class TestLogSumExp:
 class TestMatchProbability:
     def test_equals_automaton_ratio_bit_for_bit(self):
         # V(i, e) = C(r, d) (m-1)^d depends on r = n - i and d = j - e only,
-        # so the automata of length 60, over every target, hold every state
+        # so the tables of length 60, over every target, hold every state
         # of every length up to 60; the short lengths are checked as well.
         checked = 0
         for m in (2, 3, 5, 50):
-            ab = Alphabet(tuple(f"t{i}" for i in range(m)))
             for n in (1, 2, 3, 4, 5, 60):
-                word = Word(tuple(i % m for i in range(n)), ab)
                 for j in range(n + 1):
-                    automaton = DistanceAutomaton(word, j)
-                    for i, e in automaton.states():
+                    counts = loop_distance_counts(n, m, j)
+                    for (i, e), here in counts.items():
                         if i == n:
                             continue
-                        ratio = automaton.path_count(
-                            i + 1, e
-                        ) / automaton.path_count(i, e)
+                        ratio = counts.get((i + 1, e), 0) / here
                         assert _match_probability(n - i, j - e) == ratio
                         checked += 1
         assert checked > 150_000

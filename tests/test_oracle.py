@@ -14,7 +14,7 @@ from worddp import (
     hamming_distance,
     online_policy,
 )
-from worddp.markov import MarkovChain
+from worddp.markov import MarkovChain, _word_plan
 from worddp import oracle
 from worddp.oracle import (
     OutputDistribution,
@@ -212,6 +212,19 @@ class TestMarkovOnlineLaw:
         )
         assert law.prob_of(word) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "word",
+        [
+            Word((0, 1), AB2),
+            Word((0, 4), Alphabet(tuple(f"s{i}" for i in range(5)))),
+        ],
+        ids=["other-alphabet", "symbol-beyond-states"],
+    )
+    def test_word_over_other_alphabet_rejected(self, four_state_chain, word):
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        with pytest.raises(ValueError, match="state set"):
+            exact_markov_online_law(four_state_chain, word, cfg)
+
 
 class TestVerifyDp:
     def test_offline_passes_with_tight_ratio(self):
@@ -272,6 +285,28 @@ class TestVerifyDp:
         for kind in ("mc-offline", "mc-online"):
             report = verify_dp(kind, n=3, config=cfg, chain=chain)
             assert report.passed, kind
+
+    def test_check_keeps_the_chains_release_plans(self, data_dir):
+        chain = MarkovChain.load(data_dir / "four_state_chain.json")
+        word = chain.word(["s1", "s2", "s3"])
+        plan = _word_plan(chain, word)
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        verify_dp("mc-offline", n=3, config=cfg, chain=chain)
+        assert dict(chain._word_plans) == {word.symbols: plan}
+
+    def test_markov_offline_checked_from_the_given_start(self, four_state_chain):
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        started = verify_dp(
+            "mc-offline", n=3, config=cfg, chain=four_state_chain,
+            initial_output="s3",
+        )
+        assert started == verify_dp(
+            "mc-offline", n=3, config=cfg,
+            chain=four_state_chain.with_initial("s3"),
+        )
+        assert started != verify_dp(
+            "mc-offline", n=3, config=cfg, chain=four_state_chain
+        )
 
     def test_missing_inputs_rejected(self, four_state_chain):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
