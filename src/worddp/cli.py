@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or input error, 2 verification failure,
 
 from __future__ import annotations
 
+import argparse
 import json
 import string
 import sys
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-import click
 import numpy as np
 
 from worddp.analytics import (
@@ -73,90 +73,41 @@ def _load_alphabet(value: str) -> Alphabet:
     return Alphabet(tokens)
 
 
-@click.group()
-def cli() -> None:
-    """Differentially private release of symbolic words."""
-
-
-@cli.command("privatize")
-@click.option("--mode", type=click.Choice(ALL_MODES), required=True)
-@click.option("--epsilon", type=float, required=True, help="privacy budget")
-@click.option("--k", type=int, default=1, show_default=True,
-              help="adjacency level (max Hamming distance of neighbors)")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--alphabet", "alphabet_spec", type=str, default=None,
-              help="JSON file or comma-separated tokens (free-alphabet modes)")
-@click.option("--chain", "chain_path", type=click.Path(exists=True),
-              default=None, help="chain JSON file (chain modes)")
-@click.option("--input", "input_text", type=str, required=True,
-              help="input word as space-separated tokens")
-@click.option("--initial-output", type=str, default=None,
-              help="public starting state for the chain modes (defaults to "
-                   "the chain's initial state): mc-online starts its released "
-                   "path there, mc-offline reads the input and releases a "
-                   "path from there")
-@click.option("--emit-distance", is_flag=True,
-              help="also print the Hamming distance to the input; it is "
-                   "computed from the secret input and is not private")
-def cmd_privatize(
-    mode: str,
-    epsilon: float,
-    k: int,
-    seed: int,
-    alphabet_spec: str | None,
-    chain_path: str | None,
-    input_text: str,
-    initial_output: str | None,
-    emit_distance: bool,
-) -> None:
+def cmd_privatize(args: argparse.Namespace) -> None:
     """Release one privatized word on stdout."""
-    config = MechanismConfig(epsilon=epsilon, k=k, seed=seed)
-    release = RELEASES[mode]
-    if mode in FREE_MODES:
-        if alphabet_spec is None:
-            raise click.UsageError(f"--alphabet is required for mode {mode}")
-        if initial_output is not None:
-            raise click.UsageError(
-                f"--initial-output applies to the chain modes, not {mode}"
+    config = MechanismConfig(epsilon=args.epsilon, k=args.k, seed=args.seed)
+    release = RELEASES[args.mode]
+    if args.mode in FREE_MODES:
+        if args.alphabet is None:
+            raise ValueError(f"--alphabet is required for mode {args.mode}")
+        if args.initial_output is not None:
+            raise ValueError(
+                f"--initial-output applies to the chain modes, not {args.mode}"
             )
-        alphabet = _load_alphabet(alphabet_spec)
+        alphabet = _load_alphabet(args.alphabet)
     else:
-        if chain_path is None:
-            raise click.UsageError(f"--chain is required for mode {mode}")
-        chain = MarkovChain.load(chain_path)
-        if initial_output is not None:
-            chain = chain.with_initial(initial_output)
+        if args.chain is None:
+            raise ValueError(f"--chain is required for mode {args.mode}")
+        chain = MarkovChain.load(args.chain)
+        if args.initial_output is not None:
+            chain = chain.with_initial(args.initial_output)
         alphabet = chain.states
         release = partial(release, chain)
-    word = encode_word(input_text.split(), alphabet)
+    word = encode_word(args.input.split(), alphabet)
     released = release(word, config)
-    click.echo(released.text())
-    if emit_distance:
-        click.echo(str(hamming_distance(word, released)))
+    print(released.text())
+    if args.emit_distance:
+        print(hamming_distance(word, released))
 
 
-@cli.command("build-chain")
-@click.option("--corpus", type=click.Path(exists=True), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--lowercase", is_flag=True, help="lowercase tokens")
-@click.option("--sink", type=click.Choice(["self-loop", "wrap"]),
-              default="self-loop", show_default=True,
-              help="how to close off a final token with no successor")
-@click.option("--initial", type=str, default=None,
-              help="initial state (defaults to the first token)")
-def cmd_build_chain(
-    corpus: str,
-    out_path: str,
-    lowercase: bool,
-    sink: str,
-    initial: str | None,
-) -> None:
+def cmd_build_chain(args: argparse.Namespace) -> None:
     """Estimate a bigram chain from a text corpus and write it as JSON."""
-    text = Path(corpus).read_text(encoding="utf-8")
-    chain = build_bigram(text, lowercase=lowercase, sink=sink, initial=initial)
-    chain.save(out_path)
-    click.echo(f"states: {chain.n_states}")
-    click.echo(f"wrote {out_path}")
+    text = Path(args.corpus).read_text(encoding="utf-8")
+    chain = build_bigram(text, lowercase=args.lowercase, sink=args.sink,
+                         initial=args.initial)
+    chain.save(args.out)
+    print(f"states: {chain.n_states}")
+    print(f"wrote {args.out}")
 
 
 @dataclass(frozen=True)
@@ -271,98 +222,46 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-@cli.command("experiment")
-@click.option("--mode", type=click.Choice(ALL_MODES), required=True)
-@click.option("--epsilon", "epsilons", type=float, multiple=True, required=True,
-              help="privacy budget; repeat the flag to sweep a grid")
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=1000, show_default=True)
-@click.option("--alphabet", "alphabet_spec", type=str, default=None)
-@click.option("--chain", "chain_path", type=click.Path(exists=True), default=None)
-@click.option("--input", "input_text", type=str, required=True)
-@click.option("--initial-state", "initial_states", type=str, multiple=True,
-              help="starting state(s) for chain modes; repeatable")
-@click.option("--out", "out_path", type=click.Path(), required=True)
-def cmd_experiment(
-    mode: str,
-    epsilons: tuple[float, ...],
-    k: int,
-    seed: int,
-    samples: int,
-    alphabet_spec: str | None,
-    chain_path: str | None,
-    input_text: str,
-    initial_states: tuple[str, ...],
-    out_path: str,
-) -> None:
+def cmd_experiment(args: argparse.Namespace) -> None:
     """Sweep epsilon (and initial states) and write accuracy rows to CSV."""
-    alphabet = _load_alphabet(alphabet_spec) if alphabet_spec else None
-    chain = MarkovChain.load(chain_path) if chain_path else None
     spec = ExperimentSpec(
-        mechanism=mode,
-        epsilon_grid=tuple(epsilons),
-        k=k,
-        samples=samples,
-        input_tokens=tuple(input_text.split()),
-        seed=seed,
-        alphabet=alphabet,
-        chain=chain,
-        initial_states=tuple(initial_states),
+        mechanism=args.mode,
+        epsilon_grid=tuple(args.epsilon),
+        k=args.k,
+        samples=args.samples,
+        input_tokens=tuple(args.input.split()),
+        seed=args.seed,
+        alphabet=_load_alphabet(args.alphabet) if args.alphabet else None,
+        chain=MarkovChain.load(args.chain) if args.chain else None,
+        initial_states=tuple(args.initial_state or ()),
     )
     rows = run_experiment(spec)
-    write_accuracy_csv(out_path, rows)
-    click.echo(f"wrote {out_path} ({len(rows)} rows)")
+    write_accuracy_csv(args.out, rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
 
 
-@cli.command("verify")
-@click.option("--mode", type=click.Choice(("all",) + ALL_MODES), default="all",
-              show_default=True)
-@click.option("--n", type=int, default=2, show_default=True,
-              help="word length for the checked instances")
-@click.option("--m", type=int, default=2, show_default=True,
-              help="alphabet size for free-alphabet checks")
-@click.option("--epsilon", "epsilons", type=float, multiple=True,
-              default=(0.1, 1.0), show_default=True)
-@click.option("--k", "ks", type=int, multiple=True, default=(1,),
-              show_default=True)
-@click.option("--chain", "chain_path", type=click.Path(exists=True),
-              default=None, help="chain JSON for chain-mode checks")
-@click.option("--break-tau", is_flag=True,
-              help="negative control: force the retention probability to 1")
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="write the full reports as JSON")
-def cmd_verify(
-    mode: str,
-    n: int,
-    m: int,
-    epsilons: tuple[float, ...],
-    ks: tuple[int, ...],
-    chain_path: str | None,
-    break_tau: bool,
-    out_path: str | None,
-) -> None:
+def cmd_verify(args: argparse.Namespace) -> None:
     """Exhaustively check the privacy inequality; exit 2 on any failure."""
-    if mode == "all":
-        modes = list(FREE_MODES)
-        if chain_path is not None:
-            modes += list(CHAIN_MODES)
-    else:
-        modes = [mode]
-        if mode in CHAIN_MODES and chain_path is None:
-            raise click.UsageError(f"--chain is required for mode {mode}")
-    alphabet = Alphabet(tuple(string.ascii_lowercase[:m]))
-    chain = MarkovChain.load(chain_path) if chain_path else None
-    tau_override = 1.0 if break_tau else None
+    modes = [args.mode]
+    if args.mode == "all":
+        modes = list(FREE_MODES if args.chain is None else ALL_MODES)
+    elif args.mode in CHAIN_MODES and args.chain is None:
+        raise ValueError(f"--chain is required for mode {args.mode}")
+    letters = string.ascii_lowercase
+    if not 1 <= args.m <= len(letters):
+        raise ValueError(f"--m must be between 1 and {len(letters)}, got {args.m}")
+    alphabet = Alphabet(tuple(letters[: args.m]))
+    chain = MarkovChain.load(args.chain) if args.chain is not None else None
+    tau_override = 1.0 if args.break_tau else None
 
     reports = []
     for kind in modes:
-        for k in ks:
-            for eps in epsilons:
+        for k in args.k or (1,):
+            for eps in args.epsilon or (0.1, 1.0):
                 config = MechanismConfig(epsilon=eps, k=k, seed=0)
                 report = verify_dp(
                     kind,
-                    n=n,
+                    n=args.n,
                     config=config,
                     alphabet=alphabet if kind in FREE_MODES else None,
                     chain=chain if kind in CHAIN_MODES else None,
@@ -375,42 +274,124 @@ def cmd_verify(
                     else f"{report.max_log_ratio:.6f}"
                 )
                 verdict = "PASS" if report.passed else "FAIL"
-                click.echo(
-                    f"{kind} n={n} k={k} eps={eps}: max log-ratio {ratio} "
+                print(
+                    f"{kind} n={args.n} k={k} eps={eps}: max log-ratio {ratio} "
                     f"(threshold {report.threshold:.6f}) {verdict}"
                 )
-    if out_path:
-        payload = [r.to_json_dict() for r in reports]
-        Path(out_path).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        click.echo(f"wrote {out_path}")
+    if args.out:
+        payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
+        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        print(f"wrote {args.out}")
     if not all(r.passed for r in reports):
         raise VerificationFailed(
             f"{sum(not r.passed for r in reports)} of {len(reports)} checks failed"
         )
 
 
+class _Formatter(argparse.HelpFormatter):
+    """Help with a "Usage:" line and each option's default, if it has one."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+    def _get_help_string(self, action):
+        if action.default in (None, argparse.SUPPRESS) or action.default is False:
+            return action.help
+        return f"{action.help} (default: %(default)s)"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes whole option names only, offers ``--help`` alone, and raises
+    ``ValueError`` (exit 1) where argparse would exit 2, the verification code."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False,
+                         formatter_class=_Formatter, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``worddp`` command line; ``handler`` is the subcommand's function."""
+    shared = argparse.ArgumentParser(add_help=False)  # privatize and experiment
+    shared.add_argument("--mode", choices=ALL_MODES, required=True)
+    shared.add_argument("--k", type=int, default=1,
+                        help="adjacency level (max Hamming distance of neighbors)")
+    shared.add_argument("--seed", type=int, default=0, help="sampling seed")
+    shared.add_argument("--alphabet", help="JSON file or comma-separated tokens "
+                        "(free-alphabet modes)")
+    shared.add_argument("--chain", help="chain JSON file (chain modes)")
+    shared.add_argument("--input", required=True,
+                        help="input word as space-separated tokens")
+
+    parser = _Parser(prog="worddp",
+                     description="Differentially private release of symbolic words.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, parents=()):
+        sub = commands.add_parser(name, parents=parents, help=handler.__doc__,
+                                  description=handler.__doc__)
+        sub.set_defaults(handler=handler)
+        return sub.add_argument
+
+    option = command("privatize", cmd_privatize, [shared])
+    option("--epsilon", type=float, required=True, help="privacy budget")
+    option("--initial-output", help="public starting state for the chain modes "
+           "(defaults to the chain's initial state)")
+    option("--emit-distance", action="store_true", help="also print the Hamming "
+           "distance to the input; it is computed from the secret input and is "
+           "not private")
+
+    option = command("build-chain", cmd_build_chain)
+    option("--corpus", required=True)
+    option("--out", required=True)
+    option("--lowercase", action="store_true", help="lowercase tokens")
+    option("--sink", choices=("self-loop", "wrap"), default="self-loop",
+           help="how to close off a final token with no successor")
+    option("--initial", help="initial state (defaults to the first token)")
+
+    option = command("experiment", cmd_experiment, [shared])
+    option("--epsilon", type=float, action="append", required=True,
+           help="privacy budget; repeat the flag to sweep a grid")
+    option("--samples", type=int, default=1000,
+           help="releases per (epsilon, initial state) cell")
+    option("--initial-state", action="append",
+           help="starting state(s) for chain modes; repeatable")
+    option("--out", required=True)
+
+    option = command("verify", cmd_verify)
+    option("--mode", choices=("all",) + ALL_MODES, default="all",
+           help="mechanism to check")
+    option("--n", type=int, default=2, help="word length for the checked instances")
+    option("--m", type=int, default=2,
+           help="alphabet size for free-alphabet checks, at most 26")
+    option("--epsilon", type=float, action="append",
+           help="privacy budget; repeatable (default: 0.1 and 1.0)")
+    option("--k", type=int, action="append",
+           help="adjacency level; repeatable (default: 1)")
+    option("--chain", help="chain JSON for chain-mode checks")
+    option("--break-tau", action="store_true",
+           help="negative control: force the retention probability to 1")
+    option("--out", help="write the full reports as JSON")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> None:
     """Entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(EXIT_USAGE)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_USAGE)
+        args = build_parser().parse_args(argv)
+        args.handler(args)
     except VerificationFailed as exc:
-        click.echo(f"verification failed: {exc}", err=True)
+        print(f"verification failed: {exc}", file=sys.stderr)
         sys.exit(EXIT_VERIFICATION)
     except InfeasibleWordError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_INFEASIBLE)
     except (ValueError, KeyError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
     sys.exit(EXIT_OK)
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from worddp.core import Alphabet, MechanismConfig, Word, hamming_distance
-from worddp.markov import MarkovChain, _WordPlan, markov_online_policy
+from worddp.markov import MarkovChain, MarkovOnlinePolicy, _WordPlan
 from worddp.mechanisms import (
     OnlinePolicy,
     _logsumexp,
@@ -297,7 +297,8 @@ def _law_matrix(
             )
         p = np.take_along_axis(np.array(by_distance), distance, axis=1)
     else:
-        policy = markov_online_policy(chain, eps, k)
+        # not through the chain's cache, which would evict its release policies
+        policy = MarkovOnlinePolicy(chain, eps, k)
 
         def row_prob(output: int, true_state: int, prev: int) -> float:
             if tau_override is None:

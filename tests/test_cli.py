@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,14 @@ class TestPrivatize:
         )
         assert code == EXIT_USAGE
         assert "--chain" in err
+
+    def test_dash_values_take_the_equals_form(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "privatize", "--mode", "offline", "--epsilon", "1e6",
+            "--alphabet=-x,y", "--input=-x",
+        )
+        assert (code, out) == (EXIT_OK, "-x\n")
 
 
 class TestBuildChain:
@@ -375,6 +384,13 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--mode", "sideways")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("m", ["0", "30"])
+    def test_alphabet_size_out_of_range_rejected(self, capsys, m):
+        code, out, err = run_cli(capsys, "verify", "--m", m)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--m" in err and m in err
+
 
 VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_golden.json"
 
@@ -447,3 +463,65 @@ class TestEntryPoint:
         code, out, _ = run_cli(capsys, "--help")
         assert code == EXIT_OK
         assert "privatize" in out and "verify" in out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param([], id="no-arguments"),
+            pytest.param(["bogus"], id="unknown-subcommand"),
+            pytest.param(
+                ["privatize", "--mode", "offline", "--epsilon", "1",
+                 "--alphabet", "a,b", "--input", "a", "--bogus"],
+                id="unknown-option",
+            ),
+            pytest.param(
+                ["privatize", "--mode", "bogus", "--epsilon", "1",
+                 "--alphabet", "a,b", "--input", "a"],
+                id="unknown-mode",
+            ),
+            pytest.param(
+                ["privatize", "--mode", "offline", "--epsilon", "x",
+                 "--alphabet", "a,b", "--input", "a"],
+                id="epsilon-not-a-number",
+            ),
+            pytest.param(["verify", "--n", "two"], id="n-not-an-integer"),
+            pytest.param(
+                ["privatize", "--mode", "offline", "--alphabet", "a,b",
+                 "--input", "a"],
+                id="missing-epsilon",
+            ),
+            pytest.param(["verify", "--chain", "{missing}"], id="missing-chain-file"),
+        ],
+    )
+    def test_malformed_command_line_exits_1(self, capsys, tmp_path, args):
+        missing = str(tmp_path / "missing.json")
+        args = [a.replace("{missing}", missing) for a in args]
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_USAGE
+        assert out == "" and err.strip()
+
+    # recorded from each subcommand's --help before the parser moved to argparse
+    OPTION_NAMES = {
+        "privatize": {
+            "--mode", "--epsilon", "--k", "--seed", "--alphabet", "--chain",
+            "--input", "--initial-output", "--emit-distance", "--help",
+        },
+        "build-chain": {
+            "--corpus", "--out", "--lowercase", "--sink", "--initial", "--help",
+        },
+        "experiment": {
+            "--mode", "--epsilon", "--k", "--seed", "--samples", "--alphabet",
+            "--chain", "--input", "--initial-state", "--out", "--help",
+        },
+        "verify": {
+            "--mode", "--n", "--m", "--epsilon", "--k", "--chain", "--break-tau",
+            "--out", "--help",
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTION_NAMES))
+    def test_help_lists_the_same_options(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == EXIT_OK
+        names = set(re.findall(r"^\s+(--?[a-z][a-z-]*)", out, re.MULTILINE))
+        assert names == self.OPTION_NAMES[command]

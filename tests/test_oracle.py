@@ -14,7 +14,7 @@ from worddp import (
     hamming_distance,
     online_policy,
 )
-from worddp.markov import MarkovChain, _word_plan
+from worddp.markov import MarkovChain, _word_plan, markov_online_policy
 from worddp import oracle
 from worddp.oracle import (
     OutputDistribution,
@@ -293,6 +293,16 @@ class TestVerifyDp:
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         verify_dp("mc-offline", n=3, config=cfg, chain=chain)
         assert dict(chain._word_plans) == {word.symbols: plan}
+
+    def test_check_keeps_the_chains_release_policies(self, data_dir):
+        chain = MarkovChain.load(data_dir / "four_state_chain.json")
+        held = {
+            (eps, 1): markov_online_policy(chain, eps, 1)
+            for eps in (0.5, 1, 2, 3, 4, 5, 6, 7)
+        }
+        cfg = MechanismConfig(epsilon=0.1, k=1, seed=0)
+        verify_dp("mc-online", n=3, config=cfg, chain=chain)
+        assert dict(chain._online_policies) == held
 
     def test_markov_offline_checked_from_the_given_start(self, four_state_chain):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
