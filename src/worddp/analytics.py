@@ -93,10 +93,9 @@ def markov_offline_bounds(
     feasibility-weighted normalizer.  The variance of a distance supported
     on ``[0, n]`` can never exceed ``n^2 / 4``.
     """
+    _check_params(epsilon, k, n=n)
     if counts.n != n:
         raise ValueError("distance counts do not match the word length")
-    if epsilon < 0 or k < 1:
-        raise ValueError("need epsilon >= 0 and k >= 1")
     succ = [chain.n_successors(s) for s in range(chain.n_states)]
     n_min, n_max = min(succ), max(succ)
     decay = -epsilon / (2.0 * k)

@@ -15,6 +15,11 @@ tabulated.  Transition probabilities proportional to the successor counts
 make every accepted word equally likely; :meth:`DistanceAutomaton.sample` is
 the walk :func:`~worddp.mechanisms.privatize_offline` takes, at O(n) work
 per generated word.
+
+Both this automaton and the chain-constrained
+:class:`~worddp.markov.ProductDistanceAutomaton` take their language methods
+from :class:`_DistanceLanguage`; they differ only in their count source and
+successor relation.
 """
 
 from __future__ import annotations
@@ -34,8 +39,18 @@ __all__ = ["DistanceAutomaton"]
 _ENUMERATION_LIMIT = 10**6
 
 
-class DistanceAutomaton:
-    """Recognizer and uniform sampler for ``{w : d(x, w) = j}``."""
+class _DistanceLanguage:
+    """Recognizer of the words at Hamming distance exactly ``distance``
+    from ``word`` in which every symbol may follow the one before it.
+
+    A subclass supplies three hooks: ``_start``, the state before the
+    first symbol (after it, the state is the symbol last emitted);
+    ``_next(state)``, the symbols that may follow ``state``, ascending; and
+    ``_count(i, needed, state)``, the completions from position ``i`` in
+    ``state`` that mismatch the rest of the word in exactly ``needed``
+    places (0 when ``needed`` is out of range).  A subclass sets the hooks
+    before it calls ``__init__``, which refuses an empty language.
+    """
 
     def __init__(self, word: Word, distance: int):
         n = len(word)
@@ -44,15 +59,83 @@ class DistanceAutomaton:
                 f"target distance {distance} must lie in [0, {n}] for a "
                 f"length-{n} word"
             )
-        m = len(word.alphabet)
-        if distance > 0 and m < 2:
-            raise ValueError(
-                "no word over a single-symbol alphabet has positive distance"
-            )
         self.word = word
         self.distance = distance
         self._n = n
-        self._m = m
+        if self.language_size == 0:
+            raise ValueError(
+                f"no admissible word lies at distance exactly {distance} "
+                "from the reference"
+            )
+
+    @property
+    def language_size(self) -> int:
+        """Number of accepted words."""
+        return self._count(0, self.distance, self._start)
+
+    def accepts(self, candidate: Word) -> bool:
+        if candidate.alphabet != self.word.alphabet or len(candidate) != self._n:
+            return False
+        state, mismatches = self._start, 0
+        for got, want in zip(candidate.symbols, self.word.symbols):
+            if got not in self._next(state):
+                return False
+            state, mismatches = got, mismatches + (got != want)
+        return mismatches == self.distance
+
+    def run_probability(self, candidate: Word) -> float:
+        """Probability that ``sample`` outputs ``candidate``."""
+        return float(self.run_fraction(candidate))
+
+    def run_fraction(self, candidate: Word) -> Fraction:
+        """Exact rational output probability along the unique run."""
+        if not self.accepts(candidate):
+            return Fraction(0)
+        prob, state, needed = Fraction(1), self._start, self.distance
+        for i, got in enumerate(candidate.symbols):
+            here = self._count(i, needed, state)
+            needed, state = needed - (got != self.word.symbols[i]), got
+            prob *= Fraction(self._count(i + 1, needed, state), here)
+        return prob
+
+    def iter_language(self) -> Iterator[Word]:
+        """Enumerate the accepted language, ascending in the symbol at each
+        position (guarded against blow-up)."""
+        if self.language_size > _ENUMERATION_LIMIT:
+            raise ValueError(
+                f"language has {self.language_size} words; refusing to "
+                f"enumerate more than {_ENUMERATION_LIMIT}"
+            )
+
+        def rec(i: int, needed: int, state, prefix: list[int]) -> Iterator[Word]:
+            if i == self._n:
+                yield Word(tuple(prefix), self.word.alphabet)
+                return
+            for s in self._next(state):
+                left = needed - (s != self.word.symbols[i])
+                if self._count(i + 1, left, s) > 0:
+                    yield from rec(i + 1, left, s, prefix + [s])
+
+        yield from rec(0, self.distance, self._start, [])
+
+
+class DistanceAutomaton(_DistanceLanguage):
+    """Recognizer and uniform sampler for ``{w : d(x, w) = j}``."""
+
+    _start = None
+
+    def __init__(self, word: Word, distance: int):
+        self._m = len(word.alphabet)
+        super().__init__(word, distance)
+
+    def _next(self, state: int | None) -> range:
+        return range(self._m)
+
+    def _count(self, i: int, needed: int, state: int | None) -> int:
+        """The closed form ``C(n - i, needed) * (m - 1)^needed``."""
+        if needed < 0:
+            return 0
+        return comb(self._n - i, needed) * (self._m - 1) ** needed
 
     # -- state space ------------------------------------------------------
 
@@ -74,23 +157,15 @@ class DistanceAutomaton:
     # -- path counting and policy -----------------------------------------
 
     def synthesize_policy(self) -> "DistanceAutomaton":
-        """No-op kept for compatibility: counts and policy are closed forms.
-
-        Returns ``self`` so construction can be chained.
-        """
+        """No-op kept for compatibility (counts and policy are closed
+        forms); returns ``self`` so construction can be chained."""
         return self
 
     def path_count(self, i: int, e: int) -> int:
         """Accepting paths below state ``(i, e)``; 0 for pruned states."""
         if e not in self._band(i):
             return 0
-        needed = self.distance - e
-        return comb(self._n - i, needed) * (self._m - 1) ** needed
-
-    @property
-    def language_size(self) -> int:
-        """Number of words at distance exactly ``j`` from the reference."""
-        return self.path_count(0, 0)
+        return self._count(i, self.distance - e, None)
 
     def transition_probability(self, i: int, e: int, symbol: int) -> float:
         """Policy probability of emitting ``symbol`` from state ``(i, e)``."""
@@ -101,62 +176,10 @@ class DistanceAutomaton:
             return p_match
         return (1.0 - p_match) / (self._m - 1)
 
-    # -- sampling and evaluation -------------------------------------------
-
     def sample(self, rng: np.random.Generator) -> Word:
         """Draw one word uniformly from the accepted language, taking from
         ``rng`` what :func:`~worddp.mechanisms._walk` takes."""
         return _walk(self.word, self.distance, rng)
-
-    def accepts(self, candidate: Word) -> bool:
-        if candidate.alphabet != self.word.alphabet or len(candidate) != self._n:
-            return False
-        mismatches = sum(
-            a != b for a, b in zip(candidate.symbols, self.word.symbols)
-        )
-        return mismatches == self.distance
-
-    def run_probability(self, candidate: Word) -> float:
-        """Probability that :meth:`sample` outputs ``candidate``."""
-        return float(self.run_fraction(candidate))
-
-    def run_fraction(self, candidate: Word) -> Fraction:
-        """Exact rational output probability along the unique run."""
-        if not self.accepts(candidate):
-            return Fraction(0)
-        prob = Fraction(1)
-        e = 0
-        for i, (got, want) in enumerate(
-            zip(candidate.symbols, self.word.symbols)
-        ):
-            here = self.path_count(i, e)
-            e += got != want
-            prob *= Fraction(self.path_count(i + 1, e), here)
-        return prob
-
-    def iter_language(self) -> Iterator[Word]:
-        """Enumerate the accepted language (guarded against blow-up)."""
-        if self.language_size > _ENUMERATION_LIMIT:
-            raise ValueError(
-                f"language has {self.language_size} words; refusing to "
-                f"enumerate more than {_ENUMERATION_LIMIT}"
-            )
-        yield from self._enumerate(0, 0, [])
-
-    def _enumerate(
-        self, i: int, e: int, prefix: list[int]
-    ) -> Iterator[Word]:
-        if i == self._n:
-            yield Word(tuple(prefix), self.word.alphabet)
-            return
-        band_next = self._band(i + 1)
-        x_i = self.word.symbols[i]
-        if e in band_next and self.path_count(i + 1, e) > 0:
-            yield from self._enumerate(i + 1, e, prefix + [x_i])
-        if e + 1 in band_next and self.path_count(i + 1, e + 1) > 0:
-            for s in range(self._m):
-                if s != x_i:
-                    yield from self._enumerate(i + 1, e + 1, prefix + [s])
 
     # -- diagnostics ---------------------------------------------------------
 

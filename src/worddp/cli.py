@@ -119,7 +119,7 @@ class ExperimentSpec:
     k: int
     samples: int
     input_tokens: tuple[str, ...]
-    seed: int
+    seed: int | None
     alphabet: Alphabet | None = None
     chain: MarkovChain | None = None
     initial_states: tuple[str, ...] = ()
@@ -153,7 +153,8 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """Sample every (epsilon, initial state) cell and assemble CSV rows.
 
     Each cell draws from its own child stream, so the result is independent
-    of execution order and identical across runs with the same seed.
+    of execution order and identical across runs with the same explicit
+    seed.
     """
     n = len(spec.input_tokens)
     if spec.mechanism in FREE_MODES:
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--mode", choices=ALL_MODES, required=True)
     shared.add_argument("--k", type=int, default=1,
                         help="adjacency level (max Hamming distance of neighbors)")
-    shared.add_argument("--seed", type=int, default=0, help="sampling seed")
+    shared.add_argument("--seed", type=int,
+                        help="sampling seed (default: fresh OS entropy)")
     shared.add_argument("--alphabet", help="JSON file or comma-separated tokens "
                         "(free-alphabet modes)")
     shared.add_argument("--chain", help="chain JSON file (chain modes)")

@@ -5,8 +5,11 @@ is an immutable tuple of such indices.  Two words of equal length are
 *adjacent* at level ``k`` when their Hamming distance is at most ``k``.
 
 Randomness convention: every sampling routine takes an explicit
-``numpy.random.Generator``.  Reproducibility follows from the seed alone;
-:func:`split_rngs` derives independent child streams for parallel work.
+``numpy.random.Generator``.  A seed of ``None`` (the default) draws the
+root of the stream from OS entropy, so a default release is not a public
+function of its input; an explicit seed makes the output a function of the
+seed alone.  :func:`split_rngs` derives independent child streams for
+parallel work.
 """
 
 from __future__ import annotations
@@ -162,12 +165,13 @@ class MechanismConfig:
 
     ``epsilon`` is the privacy budget (0 gives maximal noise), ``k`` the
     adjacency level bounding the Hamming distance between neighboring
-    inputs, and ``seed`` the root of the randomness stream.
+    inputs, and ``seed`` the root of the randomness stream (``None``: fresh
+    OS entropy).
     """
 
     epsilon: float
     k: int
-    seed: int = 0
+    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
@@ -175,7 +179,7 @@ class MechanismConfig:
         if int(self.k) != self.k or self.k < 1:
             raise ValueError("adjacency level k must be an integer >= 1")
         object.__setattr__(self, "k", int(self.k))
-        if not 0 <= self.seed < _SEED_BOUND:
+        if self.seed is not None and not 0 <= self.seed < _SEED_BOUND:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
     def rng(self) -> np.random.Generator:
@@ -185,13 +189,14 @@ class MechanismConfig:
         return split_rngs(self.seed, n)
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Fresh generator deterministically derived from ``seed``."""
+def make_rng(seed: int | None) -> np.random.Generator:
+    """Fresh generator derived from ``seed``, or from OS entropy for ``None``."""
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def split_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """``n`` independent child generators for deterministic parallel fan-out."""
+def split_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
+    """``n`` independent child generators of one root, derived from ``seed``
+    (or from OS entropy for ``None``), for parallel fan-out."""
     if n < 0:
         raise ValueError("cannot split into a negative number of streams")
     children = np.random.SeedSequence(seed).spawn(n)

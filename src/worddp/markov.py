@@ -6,7 +6,8 @@ positive transition probability.  Only the support of the chain matters to
 the mechanisms; the probability values are carried for estimation and
 serialization.
 
-The privatizers mirror the free-alphabet ones but never leave the feasible
+The privatizers and the exact-distance automaton, which shares the free
+one's recognizer, mirror the free-alphabet ones but never leave the feasible
 set: the whole-word sampler weights each distance class by the number of
 feasible words in it, and the per-symbol sampler redistributes mass over the
 successors of the previously released state.
@@ -31,7 +32,6 @@ import string
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import exp, log
 from pathlib import Path
@@ -39,6 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from worddp.automaton import _ENUMERATION_LIMIT, _DistanceLanguage
 from worddp.core import Alphabet, MechanismConfig, Word, encode_word
 from worddp.mechanisms import DistanceDistribution, _check_params, _logsumexp
 
@@ -59,7 +60,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_ENUMERATION_LIMIT = 10**6
 _ROW_SUM_TOL = 1e-9
 # Input words whose ``mc-offline`` plans a chain keeps.  One plan's suffix
 # table takes about 1.3 MB at n = 60 and 45 MB at n = 200 on the 50-state
@@ -505,7 +505,7 @@ def feasible_distance_counts(chain: MarkovChain, word: Word) -> DistanceCounts:
     return _word_plan(chain, word).counts()
 
 
-class ProductDistanceAutomaton:
+class ProductDistanceAutomaton(_DistanceLanguage):
     """Distance automaton intersected with the chain's transition support.
 
     States are ``(i, e, s)``: position, mismatches so far, and the chain
@@ -519,77 +519,19 @@ class ProductDistanceAutomaton:
     """
 
     def __init__(self, chain: MarkovChain, word: Word, distance: int):
-        n = len(word)
-        if not 0 <= distance <= n:
-            raise ValueError(
-                f"target distance {distance} must lie in [0, {n}]"
-            )
         self.chain = chain
-        self.word = word
-        self.distance = distance
-        self._n = n
         self._plan = _word_plan(chain, word)
-        if self.language_size == 0:
-            raise ValueError(
-                f"no feasible word lies at distance exactly {distance} "
-                "from the reference"
-            )
+        self._count, self._next = self._plan.count, chain.successors
+        self._start = chain.initial
+        super().__init__(word, distance)
 
     def path_count(self, i: int, e: int, state: int) -> int:
         """Accepting paths below product state ``(i, e, state)``."""
-        return self._plan.count(i, self.distance - e, state)
-
-    @property
-    def language_size(self) -> int:
-        return self.path_count(0, 0, self.chain.initial)
+        return self._count(i, self.distance - e, state)
 
     def sample(self, rng: np.random.Generator) -> Word:
         """Uniform draw from the accepted language; one uniform per step."""
         return self._plan.walk(self.distance, rng)
-
-    def accepts(self, candidate: Word) -> bool:
-        if candidate.alphabet != self.chain.states or len(candidate) != self._n:
-            return False
-        if not self.chain.is_feasible(candidate):
-            return False
-        mism = sum(
-            a != b for a, b in zip(candidate.symbols, self.word.symbols)
-        )
-        return mism == self.distance
-
-    def run_fraction(self, candidate: Word) -> Fraction:
-        if not self.accepts(candidate):
-            return Fraction(0)
-        prob = Fraction(1)
-        state = self.chain.initial
-        e = 0
-        for i, sym in enumerate(candidate.symbols):
-            here = self.path_count(i, e, state)
-            if sym != self.word.symbols[i]:
-                e += 1
-            prob *= Fraction(self.path_count(i + 1, e, sym), here)
-            state = sym
-        return prob
-
-    def run_probability(self, candidate: Word) -> float:
-        return float(self.run_fraction(candidate))
-
-    def iter_language(self) -> Iterator[Word]:
-        if self.language_size > _ENUMERATION_LIMIT:
-            raise ValueError(
-                f"language has {self.language_size} words; refusing to "
-                f"enumerate more than {_ENUMERATION_LIMIT}"
-            )
-        def rec(i: int, e: int, state: int, prefix: list[int]) -> Iterator[Word]:
-            if i == self._n:
-                yield Word(tuple(prefix), self.chain.states)
-                return
-            target = self.word.symbols[i]
-            for s in self.chain.successors(state):
-                e_next = e if s == target else e + 1
-                if self.path_count(i + 1, e_next, s) > 0:
-                    yield from rec(i + 1, e_next, s, prefix + [s])
-        yield from rec(0, 0, self.chain.initial, [])
 
 
 def privatize_markov_offline(

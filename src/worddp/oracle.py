@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -202,27 +202,27 @@ class DpReport:
     pairs_checked: int = 0
 
     def to_json_dict(self) -> dict:
-        out = {
-            "mechanism": self.mechanism,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "n": self.n,
-            "space_size": self.space_size,
-            "max_log_ratio": (
-                None if np.isinf(self.max_log_ratio) else self.max_log_ratio
-            ),
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "worst_pair": self.worst_pair,
-            "zero_support_violations": self.zero_support_violations,
-            "pairs_checked": self.pairs_checked,
-        }
+        out = asdict(self)
+        if np.isinf(self.max_log_ratio):
+            out["max_log_ratio"] = None
         return out
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
             json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
         )
+
+
+class _FixedTauPolicy(MarkovOnlinePolicy):
+    """``mc-online`` policy that keeps a reachable true state with a fixed
+    probability ``tau``, whatever the budget: the negative control."""
+
+    def __init__(self, chain: MarkovChain, epsilon: float, k: int, tau: float):
+        super().__init__(chain, epsilon, k)
+        self._tau = tau
+
+    def tau(self, previous_output: int) -> float:
+        return self._tau
 
 
 def _symbols(words: Sequence[Word]) -> np.ndarray:
@@ -298,25 +298,17 @@ def _law_matrix(
         p = np.take_along_axis(np.array(by_distance), distance, axis=1)
     else:
         # not through the chain's cache, which would evict its release policies
-        policy = MarkovOnlinePolicy(chain, eps, k)
-
-        def row_prob(output: int, true_state: int, prev: int) -> float:
-            if tau_override is None:
-                return policy.probability(output, true_state, prev)
-            if not chain.can_follow(output, prev):
-                return 0.0
-            n_succ = chain.n_successors(prev)
-            if chain.can_follow(true_state, prev):
-                if output == true_state:
-                    return tau_override
-                if n_succ == 1:
-                    return 0.0
-                return (1.0 - tau_override) / (n_succ - 1)
-            return 1.0 / n_succ
-
+        policy = (
+            MarkovOnlinePolicy(chain, eps, k)
+            if tau_override is None
+            else _FixedTauPolicy(chain, eps, k, tau_override)
+        )
         # table[previous output, true state, output]
         table = np.array(
-            [row_prob(o, t, q) for q, t, o in itertools.product(range(m), repeat=3)]
+            [
+                policy.probability(o, t, q)
+                for q, t, o in itertools.product(range(m), repeat=3)
+            ]
         ).reshape(m, m, m)
         p = np.ones(distance.shape)
         prev = np.full(len(support), chain.initial)

@@ -112,6 +112,13 @@ class TestMarkovOfflineBounds:
         with pytest.raises(ValueError):
             markov_offline_bounds(4, four_state_chain, 1.0, 1, counts)
 
+    @pytest.mark.parametrize("epsilon, k", [(1.0, 0), (-0.5, 1)])
+    def test_bad_parameters_rejected(self, four_state_chain, epsilon, k):
+        word = four_state_chain.word(["s1", "s2", "s3"])
+        counts = feasible_distance_counts(four_state_chain, word)
+        with pytest.raises(ValueError, match="adjacency level|epsilon"):
+            markov_offline_bounds(3, four_state_chain, epsilon, k, counts)
+
     def test_survives_large_words(self, storybook_chain):
         # exact integer counts overflow floats; the log-space path must not
         rng = np.random.default_rng(0)

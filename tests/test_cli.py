@@ -58,6 +58,19 @@ class TestPrivatize:
         _, out2, _ = run_cli(capsys, *base, "--seed", "2")
         assert out1 != out2
 
+    def test_default_seed_draws_fresh_entropy(self, capsys):
+        # without --seed a release is not a function of its input: two
+        # releases of a 200-symbol word agree with negligible probability
+        args = (
+            "privatize", "--mode", "offline", "--epsilon", "0.1",
+            "--alphabet", "a,b,c",
+            "--input", " ".join("abc"[i % 3] for i in range(200)),
+        )
+        code1, out1, _ = run_cli(capsys, *args)
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == EXIT_OK
+        assert out1 != out2
+
     def test_emit_distance(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -240,7 +253,7 @@ class TestExperiment:
         args = (
             "experiment", "--mode", "offline", "--epsilon", "0.5",
             "--epsilon", "5", "--samples", "40", "--alphabet", "a,b,c",
-            "--input", "a b c a",
+            "--input", "a b c a", "--seed", "0",
         )
         for path in (out1, out2):
             code, out, _ = run_cli(capsys, *args, "--out", str(path))

@@ -193,6 +193,14 @@ class TestMechanismConfig:
         with pytest.raises(ValueError):
             MechanismConfig(**kwargs)
 
+    def test_default_seed_is_fresh_entropy(self):
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        assert cfg.seed is None
+        assert cfg.rng().random(4).tolist() != cfg.rng().random(4).tolist()
+        assert split_rngs(None, 1)[0].random(4).tolist() != (
+            split_rngs(None, 1)[0].random(4).tolist()
+        )
+
     def test_rng_reproducible(self):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=42)
         assert cfg.rng().random(8).tolist() == cfg.rng().random(8).tolist()

@@ -161,6 +161,12 @@ class TestPrivatizeOffline:
         cfg = MechanismConfig(epsilon=0.5, k=1, seed=99)
         assert privatize_offline(word, cfg) == privatize_offline(word, cfg)
 
+    def test_default_seed_draws_fresh_entropy(self):
+        word = Word(tuple(i % 3 for i in range(200)), AB3)
+        cfg = MechanismConfig(epsilon=0.1, k=1)
+        assert cfg.seed is None
+        assert privatize_offline(word, cfg) != privatize_offline(word, cfg)
+
     def test_explicit_rng_overrides_seed(self):
         word = encode_word("b c a".split(), AB3)
         cfg = MechanismConfig(epsilon=0.5, k=1, seed=99)
