@@ -17,8 +17,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from worddp.core import _check_params
 from worddp.markov import DistanceCounts, MarkovChain
-from worddp.mechanisms import _check_params, _logsumexp
+from worddp.mechanisms import _logsumexp
 
 __all__ = [
     "Moments",

@@ -30,32 +30,15 @@ from worddp.analytics import (
 )
 from worddp.core import Alphabet, MechanismConfig, encode_word, hamming_distance, split_rngs
 from worddp.markov import (
-    InfeasibleWordError,
-    MarkovChain,
-    build_bigram,
+    CHAIN_MODES, RELEASES, InfeasibleWordError, MarkovChain, build_bigram,
     feasible_distance_counts,
-    privatize_markov_offline,
-    privatize_markov_online,
 )
-from worddp.mechanisms import privatize_offline, privatize_online
 from worddp.oracle import verify_dp
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_INFEASIBLE = 3
-
-FREE_MODES = ("offline", "online")
-CHAIN_MODES = ("mc-offline", "mc-online")
-ALL_MODES = FREE_MODES + CHAIN_MODES
-# each mode's release; a chain mode's takes the chain, started at the
-# public start, as its first argument
-RELEASES = {
-    "offline": privatize_offline,
-    "online": privatize_online,
-    "mc-offline": privatize_markov_offline,
-    "mc-online": privatize_markov_online,
-}
 
 
 class VerificationFailed(Exception):
@@ -77,7 +60,7 @@ def cmd_privatize(args: argparse.Namespace) -> None:
     """Release one privatized word on stdout."""
     config = MechanismConfig(epsilon=args.epsilon, k=args.k, seed=args.seed)
     release = RELEASES[args.mode]
-    if args.mode in FREE_MODES:
+    if args.mode not in CHAIN_MODES:
         if args.alphabet is None:
             raise ValueError(f"--alphabet is required for mode {args.mode}")
         if args.initial_output is not None:
@@ -125,21 +108,22 @@ class ExperimentSpec:
     initial_states: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mechanism not in ALL_MODES:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if not self.epsilon_grid:
             raise ValueError("epsilon grid must be nonempty")
-        if any(e <= 0 for e in self.epsilon_grid):
+        if not all(e > 0 for e in self.epsilon_grid):  # false for a NaN
             raise ValueError("experiment epsilons must be positive")
         if self.samples < 1:
             raise ValueError("sample count must be at least 1")
         if not self.input_tokens:
             raise ValueError("input word must be nonempty")
-        if self.mechanism in FREE_MODES and self.alphabet is None:
-            raise ValueError(f"{self.mechanism} experiments need an alphabet")
-        if self.mechanism in CHAIN_MODES and self.chain is None:
+        chain_mode = self.mechanism in CHAIN_MODES
+        if self.mechanism not in RELEASES:
+            raise ValueError(f"unknown mechanism {self.mechanism!r}")
+        elif chain_mode and self.chain is None:
             raise ValueError(f"{self.mechanism} experiments need a chain")
-        if self.mechanism in FREE_MODES and self.initial_states:
+        elif not chain_mode and self.alphabet is None:
+            raise ValueError(f"{self.mechanism} experiments need an alphabet")
+        elif not chain_mode and self.initial_states:
             raise ValueError(
                 f"initial states apply to the chain modes, not {self.mechanism}"
             )
@@ -157,7 +141,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     seed.
     """
     n = len(spec.input_tokens)
-    if spec.mechanism in FREE_MODES:
+    if spec.mechanism not in CHAIN_MODES:
         alphabet, states = spec.alphabet, ("",)
         starts: dict[str, MarkovChain | None] = {"": None}
     else:
@@ -245,7 +229,8 @@ def cmd_verify(args: argparse.Namespace) -> None:
     """Exhaustively check the privacy inequality; exit 2 on any failure."""
     modes = [args.mode]
     if args.mode == "all":
-        modes = list(FREE_MODES if args.chain is None else ALL_MODES)
+        has_chain = args.chain is not None
+        modes = [mode for mode in RELEASES if has_chain or mode not in CHAIN_MODES]
     elif args.mode in CHAIN_MODES and args.chain is None:
         raise ValueError(f"--chain is required for mode {args.mode}")
     letters = string.ascii_lowercase
@@ -261,12 +246,8 @@ def cmd_verify(args: argparse.Namespace) -> None:
             for eps in args.epsilon or (0.1, 1.0):
                 config = MechanismConfig(epsilon=eps, k=k, seed=0)
                 report = verify_dp(
-                    kind,
-                    n=args.n,
-                    config=config,
-                    alphabet=alphabet if kind in FREE_MODES else None,
-                    chain=chain if kind in CHAIN_MODES else None,
-                    tau_override=tau_override if kind.endswith("online") else None,
+                    kind, n=args.n, config=config, alphabet=alphabet, chain=chain,
+                    tau_override=tau_override,
                 )
                 reports.append(report)
                 ratio = (
@@ -318,7 +299,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The ``worddp`` command line; ``handler`` is the subcommand's function."""
     shared = argparse.ArgumentParser(add_help=False)  # privatize and experiment
-    shared.add_argument("--mode", choices=ALL_MODES, required=True)
+    shared.add_argument("--mode", choices=tuple(RELEASES), required=True)
     shared.add_argument("--k", type=int, default=1,
                         help="adjacency level (max Hamming distance of neighbors)")
     shared.add_argument("--seed", type=int,
@@ -365,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     option("--out", required=True)
 
     option = command("verify", cmd_verify)
-    option("--mode", choices=("all",) + ALL_MODES, default="all",
+    option("--mode", choices=("all", *RELEASES), default="all",
            help="mechanism to check")
     option("--n", type=int, default=2, help="word length for the checked instances")
     option("--m", type=int, default=2,

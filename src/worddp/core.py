@@ -10,6 +10,9 @@ root of the stream from OS entropy, so a default release is not a public
 function of its input; an explicit seed makes the output a function of the
 seed alone.  :func:`split_rngs` derives independent child streams for
 parallel work.
+
+:func:`_check_params` holds the rule on the public parameters that
+:class:`MechanismConfig` and every mechanism's entry points share.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -159,6 +163,20 @@ def is_adjacent(a: Word, b: Word, k: int) -> bool:
 _SEED_BOUND = 2**64
 
 
+def _check_params(epsilon: float, k: int, *, n: int = 1, m: int = 1) -> None:
+    """Refuse public parameters no mechanism accepts: ``n < 1``, ``m < 1``,
+    an ``epsilon`` that is not finite and nonnegative, and a ``k`` that is
+    not an integer ``>= 1`` (``k = inf`` included), checked in that order."""
+    if n < 1:
+        raise ValueError("word length n must be at least 1")
+    if m < 1:
+        raise ValueError("alphabet size m must be at least 1")
+    if not (isfinite(epsilon) and epsilon >= 0):
+        raise ValueError("epsilon must be finite and nonnegative")
+    if not (isfinite(k) and k >= 1 and int(k) == k):
+        raise ValueError("adjacency level k must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class MechanismConfig:
     """Shared privatization parameters.
@@ -174,13 +192,11 @@ class MechanismConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ValueError("epsilon must be finite and nonnegative")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError("adjacency level k must be an integer >= 1")
+        _check_params(self.epsilon, self.k)
         object.__setattr__(self, "k", int(self.k))
-        if self.seed is not None and not 0 <= self.seed < _SEED_BOUND:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        integer = isinstance(self.seed, (int, np.integer))
+        if self.seed is not None and not (integer and 0 <= self.seed < _SEED_BOUND):
+            raise ValueError("seed must be an integer that fits in 64 unsigned bits")
 
     def rng(self) -> np.random.Generator:
         return make_rng(self.seed)

@@ -40,8 +40,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from worddp.automaton import _ENUMERATION_LIMIT, _DistanceLanguage
-from worddp.core import Alphabet, MechanismConfig, Word, encode_word
-from worddp.mechanisms import DistanceDistribution, _check_params, _logsumexp
+from worddp.core import Alphabet, MechanismConfig, Word, _check_params, encode_word
+from worddp.mechanisms import (
+    DistanceDistribution, _logsumexp, privatize_offline, privatize_online,
+)
 
 __all__ = [
     "InfeasibleWordError",
@@ -106,7 +108,7 @@ class MarkovChain:
                 f"transition matrix shape {mat.shape} does not match "
                 f"{m} states"
             )
-        if np.any(mat < 0) or np.any(mat > 1):
+        if not np.all((mat >= 0) & (mat <= 1)):  # false for a NaN entry
             raise ValueError("transition probabilities must lie in [0, 1]")
         bad = np.flatnonzero(np.abs(mat.sum(axis=1) - 1.0) > _ROW_SUM_TOL)
         if bad.size:
@@ -117,9 +119,7 @@ class MarkovChain:
         mat.setflags(write=False)
         self.states = states
         self.matrix = mat
-        self.initial = states.index(initial) if isinstance(initial, str) else int(initial)
-        if not 0 <= self.initial < m:
-            raise ValueError(f"initial state index {self.initial} out of range")
+        self.initial = self._state_index(initial)
         self._successors: list[tuple[int, ...]] = [
             tuple(int(j) for j in np.flatnonzero(mat[i] > 0)) for i in range(m)
         ]
@@ -148,6 +148,13 @@ class MarkovChain:
 
     def can_follow(self, state: int, previous: int) -> bool:
         return state in self._successor_sets[previous]
+
+    def _state_index(self, state: int | str) -> int:
+        """Index of ``state``, given by name or by index."""
+        index = self.states.index(state) if isinstance(state, str) else int(state)
+        if not 0 <= index < self.n_states:
+            raise ValueError(f"state index {index} out of range")
+        return index
 
     def with_initial(self, initial: int | str) -> "MarkovChain":
         return MarkovChain(self.states, self.matrix, initial)
@@ -186,17 +193,14 @@ class MarkovChain:
         """Exact number of feasible words of length ``n``."""
         if n < 1:
             raise ValueError("word length must be at least 1")
-        counts = [0] * self.n_states
-        for s in self.successors(self.initial):
-            counts[s] += 1
-        for _ in range(n - 1):
-            nxt = [0] * self.n_states
-            for s, c in enumerate(counts):
-                if c:
-                    for t in self.successors(s):
-                        nxt[t] += c
-            counts = nxt
-        return sum(counts)
+        return self._walks(n)[self.initial]
+
+    def _walks(self, n: int) -> list[int]:
+        """Number of length-``n`` walks from each state, exactly."""
+        walks = [1] * self.n_states
+        for _ in range(n):
+            walks = [sum(map(walks.__getitem__, succ)) for succ in self._successors]
+        return walks
 
     def feasible_words(self, n: int) -> Iterator[Word]:
         """Enumerate feasible words of length ``n`` in successor order."""
@@ -389,10 +393,7 @@ class _WordPlan:
 
     def __init__(self, chain: MarkovChain, word: Word):
         successors = chain._successors
-        walks = [1] * chain.n_states
-        for _ in range(len(word)):
-            walks = [sum(map(walks.__getitem__, succ)) for succ in successors]
-        width = max(walks).bit_length()
+        width = max(chain._walks(len(word))).bit_length()
         row = [1] * chain.n_states
         table = [row]
         for target in reversed(word.symbols):
@@ -697,17 +698,23 @@ def privatize_markov_online(
     if rng is None:
         rng = config.rng()
     policy = markov_online_policy(chain, config.epsilon, config.k)
-    if initial_output is None:
-        prev = chain.initial
-    elif isinstance(initial_output, str):
-        prev = chain.states.index(initial_output)
-    else:
-        prev = int(initial_output)
-    if not 0 <= prev < chain.n_states:
-        raise ValueError(f"previous output index {prev} out of range")
+    prev = chain.initial
+    if initial_output is not None:
+        prev = chain._state_index(initial_output)
     sample = policy.sample
     symbols = []
     for s in word.symbols:
         prev = sample(s, prev, rng)
         symbols.append(prev)
     return Word(tuple(symbols), chain.states)
+
+
+# each mode's release; a chain mode's takes the chain, started at the public
+# start, as its first argument
+RELEASES = {
+    "offline": privatize_offline,
+    "online": privatize_online,
+    "mc-offline": privatize_markov_offline,
+    "mc-online": privatize_markov_online,
+}
+CHAIN_MODES = ("mc-offline", "mc-online")

@@ -13,8 +13,8 @@ Two samplers share the same output law family:
   randomized-response rule, so symbols can be released as they arrive.
 
 Both assume adjacency bounded by ``k`` mismatches and satisfy word-level
-epsilon-differential privacy.  :func:`_check_params` holds the checks on
-the public parameters ``(n, m, epsilon, k)`` that every module shares.
+epsilon-differential privacy.  Their public parameters ``(n, m, epsilon,
+k)`` pass :func:`worddp.core._check_params`, the rule every module shares.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import exp, lgamma
 
 import numpy as np
 
-from worddp.core import MechanismConfig, Word
+from worddp.core import MechanismConfig, Word, _check_params
 
 __all__ = [
     "DistanceDistribution",
@@ -50,7 +50,7 @@ class DistanceDistribution:
         object.__setattr__(self, "probabilities", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probabilities must be a nonempty vector")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # false for NaN
             raise ValueError("probabilities must be nonnegative and sum to 1")
 
     @property
@@ -96,19 +96,6 @@ def _logsumexp(values) -> float:
     count = ties.sum(dtype=float)
     rest = np.exp(np.where(ties, -np.inf, a) - top).sum() / count
     return float(np.log1p(rest) + np.log(count) + top)
-
-
-def _check_params(epsilon: float, k: int, *, n: int = 1, m: int = 1) -> None:
-    """Refuse public parameters no mechanism accepts: ``n < 1``, ``m < 1``,
-    ``epsilon < 0`` or ``k < 1``, checked in that order."""
-    if n < 1:
-        raise ValueError("word length n must be at least 1")
-    if m < 1:
-        raise ValueError("alphabet size m must be at least 1")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if k < 1:
-        raise ValueError("adjacency level k must be at least 1")
 
 
 @lru_cache(maxsize=128)

@@ -11,13 +11,17 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from worddp.automaton import _ENUMERATION_LIMIT as _LANGUAGE_LIMIT
 from worddp.core import Alphabet, MechanismConfig, Word, hamming_distance
-from worddp.markov import MarkovChain, MarkovOnlinePolicy, _WordPlan
+from worddp.markov import (
+    CHAIN_MODES, RELEASES, MarkovChain, MarkovOnlinePolicy, _WordPlan,
+)
 from worddp.mechanisms import (
     OnlinePolicy,
     _logsumexp,
@@ -38,7 +42,6 @@ __all__ = [
     "verify_dp",
 ]
 
-_LANGUAGE_LIMIT = 10**6
 _EXACT_N_LIMIT = 4
 _EXACT_M_LIMIT = 6
 # float64 entries per temporary in the pair scan: 2 MB, about 8 MB in all
@@ -60,7 +63,7 @@ class OutputDistribution:
             raise ValueError("support and probability vector sizes differ")
         if len(set(self.words)) != len(self.words):
             raise ValueError("support contains duplicate words")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):  # false for NaN
             raise ValueError("probabilities must be nonnegative and sum to 1")
 
     def prob_of(self, word: Word) -> float:
@@ -69,13 +72,9 @@ class OutputDistribution:
         except KeyError:
             return 0.0
 
-    @property
+    @cached_property
     def _lookup(self) -> dict[Word, int]:
-        cached = self.__dict__.get("_lookup_cache")
-        if cached is None:
-            cached = {w: i for i, w in enumerate(self.words)}
-            self.__dict__["_lookup_cache"] = cached
-        return cached
+        return {w: i for i, w in enumerate(self.words)}
 
 
 def all_words(alphabet: Alphabet, n: int) -> list[Word]:
@@ -131,7 +130,7 @@ def exact_offline_law(word: Word, config: MechanismConfig) -> OutputDistribution
     input symbol with :func:`_match_probability` and otherwise emits each
     of the other ``m - 1`` symbols with an equal share.
     """
-    laws, support = _law_matrix("offline", [word], config, None, None, None)
+    laws, support = _law_matrix("offline", [word], config)
     return OutputDistribution(support, laws[0])
 
 
@@ -148,7 +147,7 @@ def exact_online_law(
     if policy is not None and policy.alphabet_size != len(word.alphabet):
         raise ValueError("policy and word disagree on the alphabet size")
     tau = None if policy is None else policy.tau
-    laws, support = _law_matrix("online", [word], config, None, tau, None)
+    laws, support = _law_matrix("online", [word], config, tau_override=tau)
     return OutputDistribution(support, laws[0])
 
 
@@ -161,7 +160,7 @@ def exact_markov_offline_law(
     probability exactly ``1/|class d|`` given the distance; ``1 / count``
     is that rational correctly rounded.
     """
-    laws, support = _law_matrix("mc-offline", [word], config, chain, None, None)
+    laws, support = _law_matrix("mc-offline", [word], config, chain)
     return OutputDistribution(support, laws[0])
 
 
@@ -233,9 +232,9 @@ def _law_matrix(
     kind: str,
     inputs: list[Word],
     config: MechanismConfig,
-    chain: MarkovChain | None,
-    tau_override: float | None,
-    initial_output: int | str | None,
+    chain: MarkovChain | None = None,
+    tau_override: float | None = None,
+    initial_output: int | str | None = None,
 ) -> tuple[np.ndarray, tuple[Word, ...]]:
     """Exact laws of one mechanism, one row per input word.
 
@@ -243,25 +242,24 @@ def _law_matrix(
     every row shares.  Each entry is the product of the factors the
     release takes, position by position from the left, and each row is
     normalized by its sum.  A chain mode releases from ``initial_output``
-    when it is given, else from the chain's initial state.
+    when it is given, else from the chain's initial state; a free mode
+    ignores ``chain`` and ``initial_output``.
     """
+    if kind not in RELEASES:
+        raise ValueError(f"unknown mechanism kind {kind!r}")
     n = len(inputs[0])
     eps, k = config.epsilon, config.k
-    free = kind in ("offline", "online")
-    if free:
-        alphabet = inputs[0].alphabet
-    elif kind in ("mc-offline", "mc-online"):
-        assert chain is not None
+    if kind in CHAIN_MODES:
         if initial_output is not None:
             chain = chain.with_initial(initial_output)
         if any(word.alphabet != chain.states for word in inputs):
             raise ValueError("word is not over this chain's state set")
         alphabet = chain.states
     else:
-        raise ValueError(f"unknown mechanism kind {kind!r}")
+        alphabet, chain = inputs[0].alphabet, None
     m = len(alphabet)
     _check_exact_size(n, m)
-    support = tuple(all_words(alphabet, n) if free else chain.feasible_words(n))
+    support = tuple(chain.feasible_words(n) if chain else all_words(alphabet, n))
     x, w = _symbols(inputs), _symbols(support)
     # differing symbols per (input, output): the Hamming distance
     distance = (x[:, None] != w[None]).sum(axis=-1)
@@ -339,27 +337,23 @@ def verify_dp(
     Pairs are scanned in row-major order, in chunks.  The witness is the
     first one-sided pair at its first one-sided output if there is one,
     else the first pair reaching the largest ratio, at its first argmax.
+    A mode ignores the arguments it does not use.
     """
-    if kind in ("offline", "online"):
-        if alphabet is None:
-            raise ValueError(f"{kind} verification needs an alphabet")
-        inputs = all_words(alphabet, n)
-        space = len(alphabet)
-    elif kind in ("mc-offline", "mc-online"):
+    if kind in CHAIN_MODES:
         if chain is None:
             raise ValueError(f"{kind} verification needs a chain")
-        if initial_output is not None:
-            chain = chain.with_initial(initial_output)
-        if kind == "mc-offline":
-            inputs = list(chain.feasible_words(n))
-        else:
-            # the per-state sampler accepts any input path, so check all
-            inputs = all_words(chain.states, n)
-        space = chain.n_states
-    else:
-        raise ValueError(f"unknown mechanism kind {kind!r}")
+        alphabet = chain.states
+    elif alphabet is None:
+        raise ValueError(f"{kind} verification needs an alphabet")
+    if kind == "mc-offline":
+        start = chain if initial_output is None else chain.with_initial(initial_output)
+        inputs = list(start.feasible_words(n))
+    else:  # the other samplers accept any input word
+        inputs = all_words(alphabet, n)
 
-    laws, support = _law_matrix(kind, inputs, config, chain, tau_override, None)
+    laws, support = _law_matrix(
+        kind, inputs, config, chain, tau_override, initial_output
+    )
     positive = laws > 0.0
     x = _symbols(inputs)
     adjacent = (x[:, None] != x[None]).sum(axis=-1) <= config.k
@@ -407,7 +401,7 @@ def verify_dp(
         epsilon=config.epsilon,
         k=config.k,
         n=n,
-        space_size=space,
+        space_size=len(alphabet),
         max_log_ratio=max_ratio,
         threshold=threshold,
         passed=passed,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from worddp import MarkovChain
+from worddp import Alphabet, MarkovChain
 from worddp.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -15,6 +15,8 @@ from worddp.cli import (
     main,
     run_experiment,
 )
+
+AB = Alphabet(("a", "b"))
 
 
 def run_cli(capsys, *args: str):
@@ -335,6 +337,30 @@ class TestExperiment:
                 input_tokens=("a",), seed=0,
             )
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -1.0])
+    def test_spec_rejects_epsilon_not_positive(self, epsilon):
+        with pytest.raises(ValueError, match="positive"):
+            ExperimentSpec(
+                mechanism="offline", epsilon_grid=(1.0, epsilon), k=1,
+                samples=10, input_tokens=("a",), seed=0, alphabet=AB,
+            )
+
+    @pytest.mark.parametrize(
+        "mechanism, extra, message",
+        [
+            ("sideways", {"alphabet": AB}, "unknown mechanism"),
+            ("offline", {}, "need an alphabet"),
+            ("mc-offline", {"alphabet": AB}, "need a chain"),
+            ("online", {"alphabet": AB, "initial_states": ("a",)}, "initial states"),
+        ],
+    )
+    def test_spec_mode_checks(self, mechanism, extra, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(
+                mechanism=mechanism, epsilon_grid=(1.0,), k=1, samples=10,
+                input_tokens=("a",), seed=0, **extra,
+            )
+
     def test_run_experiment_order_independent_streams(self, four_state_chain):
         # each cell owns a child stream, so a smaller grid reproduces the
         # first cell of a larger one exactly
@@ -538,3 +564,16 @@ class TestEntryPoint:
         assert code == EXIT_OK
         names = set(re.findall(r"^\s+(--?[a-z][a-z-]*)", out, re.MULTILINE))
         assert names == self.OPTION_NAMES[command]
+
+    @pytest.mark.parametrize(
+        "command, choices",
+        [
+            ("privatize", "{offline,online,mc-offline,mc-online}"),
+            ("experiment", "{offline,online,mc-offline,mc-online}"),
+            ("verify", "{all,offline,online,mc-offline,mc-online}"),
+        ],
+    )
+    def test_mode_choices_in_order(self, capsys, command, choices):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == EXIT_OK
+        assert f"--mode {choices}\n" in out

@@ -1,4 +1,5 @@
 import json
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -7,14 +8,20 @@ from hypothesis import strategies as st
 
 from worddp import (
     Alphabet,
+    DistanceCounts,
+    MarkovOnlinePolicy,
     MechanismConfig,
     Word,
+    distance_distribution,
     encode_word,
     hamming_distance,
     is_adjacent,
     make_rng,
+    markov_online_policy,
+    online_policy,
     split_rngs,
 )
+from worddp.analytics import markov_offline_bounds, offline_moments, online_moments
 
 AB3 = Alphabet(("a", "b", "c"))
 
@@ -193,6 +200,15 @@ class TestMechanismConfig:
         with pytest.raises(ValueError):
             MechanismConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7", nan, inf])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            MechanismConfig(epsilon=1.0, k=1, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=np.uint64(42))
+        assert cfg.rng().random(4).tolist() == make_rng(42).random(4).tolist()
+
     def test_default_seed_is_fresh_entropy(self):
         cfg = MechanismConfig(epsilon=1.0, k=1)
         assert cfg.seed is None
@@ -237,3 +253,37 @@ class TestRngHelpers:
         with ThreadPoolExecutor(max_workers=4) as pool:
             par = list(pool.map(lambda s: s.random(100).sum(), split_rngs(3, 8)))
         assert np.allclose(seq, par)
+
+
+# each entry point that takes (epsilon, k), called as (chain, epsilon, k)
+ENTRY_POINTS = {
+    "MechanismConfig": lambda chain, eps, k: MechanismConfig(epsilon=eps, k=k),
+    "distance_distribution": lambda chain, eps, k: distance_distribution(3, 2, eps, k),
+    "online_policy": lambda chain, eps, k: online_policy(2, eps, k),
+    "MarkovOnlinePolicy": MarkovOnlinePolicy,
+    "markov_online_policy": markov_online_policy,
+    "offline_moments": lambda chain, eps, k: offline_moments(3, 2, eps, k),
+    "online_moments": lambda chain, eps, k: online_moments(3, 2, eps, k),
+    "markov_offline_bounds": lambda chain, eps, k: markov_offline_bounds(
+        3, chain, eps, k, DistanceCounts((1, 3, 3, 1))
+    ),
+}
+
+
+class TestParameterRule:
+    """One rule guards every entry point: epsilon finite and nonnegative,
+    k an integer >= 1."""
+
+    @pytest.mark.parametrize(
+        "epsilon, k", [(nan, 1), (inf, 1), (-inf, 1), (1.0, 1.5), (1.0, inf)]
+    )
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_rejected(self, four_state_chain, entry, epsilon, k):
+        chain = four_state_chain.with_initial("s0")  # its own policy cache
+        with pytest.raises(ValueError, match="epsilon|adjacency level"):
+            ENTRY_POINTS[entry](chain, epsilon, k)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_edges_accepted(self, four_state_chain, entry):
+        # epsilon = 0 is maximal noise; an integral float k is an integer
+        ENTRY_POINTS[entry](four_state_chain.with_initial("s0"), 0.0, 2.0)

@@ -124,6 +124,14 @@ class TestMarkovChain:
         with pytest.raises(ValueError):
             MarkovChain(("a", "b"), np.array([[1.5, -0.5], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "matrix", [[[np.nan, 1.0], [0.5, 0.5]], [[np.nan, np.nan], [0.5, 0.5]]]
+    )
+    def test_rejects_nan_entries(self, matrix):
+        # a NaN entry would otherwise read as "no transition"
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            MarkovChain(("a", "b"), np.array(matrix))
+
     def test_initial_by_name_and_index(self):
         mat = np.array([[0.5, 0.5], [1.0, 0.0]])
         assert MarkovChain(("a", "b"), mat, "b").initial == 1

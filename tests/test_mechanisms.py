@@ -51,6 +51,15 @@ class TestDistanceDistribution:
         with pytest.raises(ValueError):
             DistanceDistribution(probabilities=())
 
+    @pytest.mark.parametrize(
+        "probabilities",
+        [(np.nan, np.nan), (np.nan, 1.0), (np.inf, 0.0), (1.0, 0.0, -np.inf)],
+    )
+    def test_non_finite_rejected(self, probabilities):
+        # an all-NaN law would otherwise sample distance 0: the input itself
+        with pytest.raises(ValueError):
+            DistanceDistribution(np.array(probabilities))
+
     @pytest.mark.parametrize("epsilon", [0.1, 1.0, 5.0])
     def test_single_position_binary_closed_form(self, epsilon):
         dist = distance_distribution(1, 2, epsilon, 1)

@@ -54,6 +54,16 @@ class TestOutputDistribution:
         with pytest.raises(ValueError):
             OutputDistribution((w,), np.array([0.5, 0.5]))
 
+    def test_nan_law_rejected(self, four_state_chain):
+        w, v = Word((0,), AB2), Word((1,), AB2)
+        with pytest.raises(ValueError):
+            OutputDistribution((w, v), np.array([np.nan, np.nan]))
+        # a NaN retention probability makes every entry of the law NaN
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        word = four_state_chain.word(["s1", "s2"])
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            exact_markov_online_law(four_state_chain, word, cfg, tau_override=np.nan)
+
     def test_prob_of_off_support_is_zero(self):
         w = Word((0,), AB2)
         dist = OutputDistribution((w,), np.array([1.0]))
@@ -326,6 +336,19 @@ class TestVerifyDp:
             verify_dp("mc-online", n=2, config=cfg)
         with pytest.raises(ValueError):
             verify_dp("sideways", n=2, config=cfg, alphabet=AB2)
+
+    @pytest.mark.parametrize("kind", ["offline", "online", "mc-offline", "mc-online"])
+    def test_unused_arguments_ignored(self, kind, four_state_chain):
+        # the CLI passes every argument to every mode
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        chained = kind.startswith("mc-")
+        used = {"chain": four_state_chain} if chained else {"alphabet": AB2}
+        if kind.endswith("online"):
+            used["tau_override"] = 1.0
+        report = verify_dp(kind, n=2, config=cfg, **used)
+        everything = dict(alphabet=AB2, chain=four_state_chain, tau_override=1.0)
+        assert verify_dp(kind, n=2, config=cfg, **everything) == report
+        assert report.space_size == (four_state_chain.n_states if chained else 2)
 
     def test_report_round_trips_to_json(self, tmp_path):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
