@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import exp, log, log1p
+from math import exp, inf, log, log1p
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -74,7 +74,7 @@ class MarkovOfflineBounds:
     variance_bound: float
 
     def __post_init__(self) -> None:
-        if self.lower > self.upper + 1e-12:
+        if not self.lower <= self.upper + 1e-12:  # false for NaN
             raise ValueError("lower bound exceeds upper bound")
 
 
@@ -131,7 +131,7 @@ def offline_concentration_bound(n: int, eta: float) -> float:
     """
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in the open interval (0, 0.5)")
-    if n < 1:
+    if not n >= 1:  # false for NaN
         raise ValueError("word length n must be at least 1")
     return min(1.0, 2.0 * exp(-2.0 * eta * eta / (n * n)))
 
@@ -149,8 +149,8 @@ def online_concentration_bounds(
     ``P[d < (1-eta) E] <= exp(-eta^2 E / 2)`` for ``eta`` in (0, 1)."""
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in the open interval (0, 1)")
-    if expectation < 0:
-        raise ValueError("expectation must be nonnegative")
+    if not 0.0 <= expectation < inf:  # false for NaN
+        raise ValueError("expectation must be finite and nonnegative")
     upper = min(1.0, exp(-eta * eta * expectation / (2.0 + eta)))
     lower = min(1.0, exp(-eta * eta * expectation / 2.0))
     return OnlineTailBounds(upper=upper, lower=lower)

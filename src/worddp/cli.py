@@ -238,7 +238,6 @@ def cmd_verify(args: argparse.Namespace) -> None:
         raise ValueError(f"--m must be between 1 and {len(letters)}, got {args.m}")
     alphabet = Alphabet(tuple(letters[: args.m]))
     chain = MarkovChain.load(args.chain) if args.chain is not None else None
-    tau_override = 1.0 if args.break_tau else None
 
     reports = []
     for kind in modes:
@@ -247,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> None:
                 config = MechanismConfig(epsilon=eps, k=k, seed=0)
                 report = verify_dp(
                     kind, n=args.n, config=config, alphabet=alphabet, chain=chain,
-                    tau_override=tau_override,
+                    break_tau=args.break_tau,
                 )
                 reports.append(report)
                 ratio = (

@@ -42,7 +42,7 @@ import numpy as np
 from worddp.automaton import _ENUMERATION_LIMIT, _DistanceLanguage
 from worddp.core import Alphabet, MechanismConfig, Word, _check_params, encode_word
 from worddp.mechanisms import (
-    DistanceDistribution, _logsumexp, privatize_offline, privatize_online,
+    DistanceDistribution, _class_law, privatize_offline, privatize_online,
 )
 
 __all__ = [
@@ -441,12 +441,11 @@ class _WordPlan:
                 "whole-word mechanism degenerates to the identity and "
                 "provides no privacy"
             )
-        log_weights = np.full(counts.n + 1, -np.inf)
+        log_sizes = np.full(counts.n + 1, -np.inf)
         for l in support:
             # log of an exact integer count; safe for counts beyond float range
-            log_weights[l] = log(counts[l]) - epsilon * l / (2.0 * k)
-        probs = np.exp(log_weights - _logsumexp(log_weights))
-        dist = self._laws[key] = DistanceDistribution(probs / probs.sum())
+            log_sizes[l] = log(counts[l])
+        dist = self._laws[key] = _class_law(log_sizes, epsilon, k)
         return dist
 
     def _row(

@@ -98,6 +98,14 @@ def _logsumexp(values) -> float:
     return float(np.log1p(rest) + np.log(count) + top)
 
 
+def _class_law(log_sizes: np.ndarray, epsilon: float, k: int) -> DistanceDistribution:
+    """Distance law with mass proportional to ``size(l) * exp(-epsilon*l/(2k))``,
+    from the log class sizes (``-inf`` for an empty class), in log space."""
+    log_weights = log_sizes - epsilon * np.arange(log_sizes.size) / (2.0 * k)
+    probs = np.exp(log_weights - _logsumexp(log_weights))
+    return DistanceDistribution(probs / probs.sum())
+
+
 @lru_cache(maxsize=128)
 def distance_distribution(
     n: int, m: int, epsilon: float, k: int
@@ -125,9 +133,7 @@ def distance_distribution(
         - log_factorial[::-1]
         + ell * np.log(m - 1)
     )
-    log_weights = log_class_size - epsilon * ell / (2.0 * k)
-    probs = np.exp(log_weights - _logsumexp(log_weights))
-    return DistanceDistribution(probs / probs.sum())
+    return _class_law(log_class_size, epsilon, k)
 
 
 def _match_probability(remaining: int, needed: int) -> float:

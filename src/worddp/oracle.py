@@ -23,10 +23,7 @@ from worddp.markov import (
     CHAIN_MODES, RELEASES, MarkovChain, MarkovOnlinePolicy, _WordPlan,
 )
 from worddp.mechanisms import (
-    OnlinePolicy,
-    _logsumexp,
-    _match_probability,
-    distance_distribution,
+    OnlinePolicy, _logsumexp, _match_probability, distance_distribution,
     online_policy,
 )
 
@@ -34,10 +31,7 @@ __all__ = [
     "OutputDistribution",
     "all_words",
     "exponential_mechanism",
-    "exact_offline_law",
-    "exact_online_law",
-    "exact_markov_offline_law",
-    "exact_markov_online_law",
+    "exact_law",
     "DpReport",
     "verify_dp",
 ]
@@ -122,65 +116,20 @@ def _check_exact_size(n: int, m: int) -> None:
         )
 
 
-def exact_offline_law(word: Word, config: MechanismConfig) -> OutputDistribution:
-    """Exact law of the whole-word sampler, via its own components.
-
-    Combines the implemented distance law with the step probabilities the
-    release walk uses, over the full word space: each position keeps the
-    input symbol with :func:`_match_probability` and otherwise emits each
-    of the other ``m - 1`` symbols with an equal share.
-    """
-    laws, support = _law_matrix("offline", [word], config)
-    return OutputDistribution(support, laws[0])
-
-
-def exact_online_law(
+def exact_law(
+    kind: str,
     word: Word,
     config: MechanismConfig,
-    policy: OnlinePolicy | None = None,
-) -> OutputDistribution:
-    """Exact law of the per-symbol sampler as a product of policy rows.
-
-    ``policy`` can be overridden (e.g. a deliberately broken one) for
-    verification exercises.
-    """
-    if policy is not None and policy.alphabet_size != len(word.alphabet):
-        raise ValueError("policy and word disagree on the alphabet size")
-    tau = None if policy is None else policy.tau
-    laws, support = _law_matrix("online", [word], config, tau_override=tau)
-    return OutputDistribution(support, laws[0])
-
-
-def exact_markov_offline_law(
-    chain: MarkovChain, word: Word, config: MechanismConfig
-) -> OutputDistribution:
-    """Exact law of the feasibility-preserving whole-word sampler.
-
-    The walk's step ratios telescope, so every word at distance ``d`` has
-    probability exactly ``1/|class d|`` given the distance; ``1 / count``
-    is that rational correctly rounded.
-    """
-    laws, support = _law_matrix("mc-offline", [word], config, chain)
-    return OutputDistribution(support, laws[0])
-
-
-def exact_markov_online_law(
-    chain: MarkovChain,
-    word: Word,
-    config: MechanismConfig,
+    chain: MarkovChain | None = None,
     *,
-    initial_output: int | str | None = None,
-    tau_override: float | None = None,
+    break_tau: bool = False,
 ) -> OutputDistribution:
-    """Exact law of the per-state sampler as a product of conditional rows.
+    """Exact output law of one release of ``word``, from its own components.
 
-    The support is the set of feasible paths from the public starting
-    state.  ``tau_override`` forces the retention probability (when the
-    true state is reachable) to a fixed value, for negative controls.
+    A chain mode starts from ``chain.initial`` (``chain.with_initial``
+    starts it elsewhere); ``break_tau=True`` gives the negative control.
     """
-    laws, support = _law_matrix(
-        "mc-online", [word], config, chain, tau_override, initial_output
-    )
+    laws, support = _law_matrix(kind, [word], config, chain, break_tau)
     return OutputDistribution(support, laws[0])
 
 
@@ -213,15 +162,11 @@ class DpReport:
 
 
 class _FixedTauPolicy(MarkovOnlinePolicy):
-    """``mc-online`` policy that keeps a reachable true state with a fixed
-    probability ``tau``, whatever the budget: the negative control."""
-
-    def __init__(self, chain: MarkovChain, epsilon: float, k: int, tau: float):
-        super().__init__(chain, epsilon, k)
-        self._tau = tau
+    """``mc-online`` policy that always keeps a reachable true state,
+    whatever the budget: the negative control."""
 
     def tau(self, previous_output: int) -> float:
-        return self._tau
+        return 1.0
 
 
 def _symbols(words: Sequence[Word]) -> np.ndarray:
@@ -233,25 +178,24 @@ def _law_matrix(
     inputs: list[Word],
     config: MechanismConfig,
     chain: MarkovChain | None = None,
-    tau_override: float | None = None,
-    initial_output: int | str | None = None,
+    break_tau: bool = False,
 ) -> tuple[np.ndarray, tuple[Word, ...]]:
     """Exact laws of one mechanism, one row per input word.
 
     Returns the ``[inputs x outputs]`` matrix and the output support that
     every row shares.  Each entry is the product of the factors the
     release takes, position by position from the left, and each row is
-    normalized by its sum.  A chain mode releases from ``initial_output``
-    when it is given, else from the chain's initial state; a free mode
-    ignores ``chain`` and ``initial_output``.
+    normalized by its sum.  A chain mode releases from ``chain.initial``;
+    a free mode ignores ``chain``.  ``break_tau`` makes the per-symbol
+    modes keep a reachable true symbol with probability 1.
     """
     if kind not in RELEASES:
         raise ValueError(f"unknown mechanism kind {kind!r}")
     n = len(inputs[0])
     eps, k = config.epsilon, config.k
     if kind in CHAIN_MODES:
-        if initial_output is not None:
-            chain = chain.with_initial(initial_output)
+        if chain is None:
+            raise ValueError(f"{kind} needs a chain")
         if any(word.alphabet != chain.states for word in inputs):
             raise ValueError("word is not over this chain's state set")
         alphabet = chain.states
@@ -275,9 +219,9 @@ def _law_matrix(
             needed = needed - ~match
     elif kind == "online":
         policy = (
-            online_policy(m, eps, k)
-            if tau_override is None
-            else OnlinePolicy(tau=tau_override, alphabet_size=m)
+            OnlinePolicy(tau=1.0, alphabet_size=m)
+            if break_tau
+            else online_policy(m, eps, k)
         )
         table = np.array([policy.probabilities(s) for s in range(m)])
         p = table[x[:, 0, None], w[None, :, 0]]
@@ -290,17 +234,14 @@ def _law_matrix(
             # not through the chain's cache, which would evict its release plans
             plan = _WordPlan(chain, word)
             dist, counts = plan.law(eps, k), plan.counts()
+            # step ratios telescope: dist[d] splits evenly over the counts[d] words
             by_distance.append(
                 [dist[d] * (1 / counts[d]) if counts[d] else 0.0 for d in range(n + 1)]
             )
         p = np.take_along_axis(np.array(by_distance), distance, axis=1)
     else:
         # not through the chain's cache, which would evict its release policies
-        policy = (
-            MarkovOnlinePolicy(chain, eps, k)
-            if tau_override is None
-            else _FixedTauPolicy(chain, eps, k, tau_override)
-        )
+        policy = (_FixedTauPolicy if break_tau else MarkovOnlinePolicy)(chain, eps, k)
         # table[previous output, true state, output]
         table = np.array(
             [
@@ -323,8 +264,7 @@ def verify_dp(
     config: MechanismConfig,
     alphabet: Alphabet | None = None,
     chain: MarkovChain | None = None,
-    tau_override: float | None = None,
-    initial_output: int | str | None = None,
+    break_tau: bool = False,
 ) -> DpReport:
     """Exhaustively check the privacy inequality on a small instance.
 
@@ -332,7 +272,8 @@ def verify_dp(
     laws are compared pointwise; the report carries the largest absolute
     log-ratio and the witnesses.  A zero probability on one side only is
     unbounded leakage and fails the check outright.  The chain modes are
-    checked on the chain started at ``initial_output`` when it is given.
+    checked from ``chain.initial``, and ``break_tau`` checks the per-symbol
+    modes' negative control (see :func:`_law_matrix`).
 
     Pairs are scanned in row-major order, in chunks.  The witness is the
     first one-sided pair at its first one-sided output if there is one,
@@ -346,14 +287,11 @@ def verify_dp(
     elif alphabet is None:
         raise ValueError(f"{kind} verification needs an alphabet")
     if kind == "mc-offline":
-        start = chain if initial_output is None else chain.with_initial(initial_output)
-        inputs = list(start.feasible_words(n))
+        inputs = list(chain.feasible_words(n))
     else:  # the other samplers accept any input word
         inputs = all_words(alphabet, n)
 
-    laws, support = _law_matrix(
-        kind, inputs, config, chain, tau_override, initial_output
-    )
+    laws, support = _law_matrix(kind, inputs, config, chain, break_tau)
     positive = laws > 0.0
     x = _symbols(inputs)
     adjacent = (x[:, None] != x[None]).sum(axis=-1) <= config.k

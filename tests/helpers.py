@@ -201,33 +201,29 @@ def _loop_markov_offline_law(chain, word: Word, config) -> OutputDistribution:
 
 
 def _loop_markov_online_law(
-    chain, word: Word, config, *, initial_output=None, tau_override=None
+    chain, word: Word, config, *, break_tau=False
 ) -> OutputDistribution:
     n = len(word)
     _check_exact_size(n, chain.n_states)
     policy = markov_online_policy(chain, config.epsilon, config.k)
-    if initial_output is None:
-        start = chain.initial
-    elif isinstance(initial_output, str):
-        start = chain.states.index(initial_output)
-    else:
-        start = int(initial_output)
+    start = chain.initial
+    tau = 1.0
 
     def row_prob(output: int, true_state: int, prev: int) -> float:
-        if tau_override is None:
+        if not break_tau:
             return policy.probability(output, true_state, prev)
         if not chain.can_follow(output, prev):
             return 0.0
         n_succ = chain.n_successors(prev)
         if chain.can_follow(true_state, prev):
             if output == true_state:
-                return tau_override
+                return tau
             if n_succ == 1:
                 return 0.0
-            return (1.0 - tau_override) / (n_succ - 1)
+            return (1.0 - tau) / (n_succ - 1)
         return 1.0 / n_succ
 
-    support = list(chain.with_initial(start).feasible_words(n))
+    support = list(chain.feasible_words(n))
     vec = []
     for w in support:
         prev = start
@@ -240,7 +236,7 @@ def _loop_markov_online_law(
     return OutputDistribution(tuple(support), arr / arr.sum())
 
 
-def loop_law_matrix(kind, inputs, config, chain, tau_override, initial_output):
+def loop_law_matrix(kind, inputs, config, chain, break_tau):
     """Law matrix ``[inputs x outputs]`` and the shared support, one
     enumeration per input word."""
     laws = []
@@ -250,23 +246,15 @@ def loop_law_matrix(kind, inputs, config, chain, tau_override, initial_output):
             law = _loop_offline_law(w, config)
         elif kind == "online":
             policy = None
-            if tau_override is not None:
-                policy = OnlinePolicy(
-                    tau=tau_override, alphabet_size=len(w.alphabet)
-                )
+            if break_tau:
+                policy = OnlinePolicy(tau=1.0, alphabet_size=len(w.alphabet))
             law = _loop_online_law(w, config, policy=policy)
         elif kind == "mc-offline":
             assert chain is not None
             law = _loop_markov_offline_law(chain, w, config)
         elif kind == "mc-online":
             assert chain is not None
-            law = _loop_markov_online_law(
-                chain,
-                w,
-                config,
-                initial_output=initial_output,
-                tau_override=tau_override,
-            )
+            law = _loop_markov_online_law(chain, w, config, break_tau=break_tau)
         else:
             raise ValueError(f"unknown mechanism kind {kind!r}")
         if support is None:
@@ -279,8 +267,7 @@ def loop_law_matrix(kind, inputs, config, chain, tau_override, initial_output):
 
 
 def loop_verify_dp(
-    kind, *, n, config, alphabet=None, chain=None, tau_override=None,
-    initial_output=None,
+    kind, *, n, config, alphabet=None, chain=None, break_tau=False,
 ):
     """``verify_dp`` by a Python loop over every input pair."""
     if kind in ("offline", "online"):
@@ -300,9 +287,7 @@ def loop_verify_dp(
     else:
         raise ValueError(f"unknown mechanism kind {kind!r}")
 
-    laws, support = loop_law_matrix(
-        kind, inputs, config, chain, tau_override, initial_output
-    )
+    laws, support = loop_law_matrix(kind, inputs, config, chain, break_tau)
     with np.errstate(divide="ignore"):
         log_laws = np.log(laws)
 

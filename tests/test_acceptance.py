@@ -37,8 +37,7 @@ from worddp.cli import ExperimentSpec, run_experiment
 from worddp.markov import feasible_distance_counts
 from worddp.oracle import (
     all_words,
-    exact_markov_offline_law,
-    exact_offline_law,
+    exact_law,
     exponential_mechanism,
     verify_dp,
 )
@@ -96,7 +95,7 @@ def test_criterion_01_offline_law_equals_exponential_mechanism():
                 for eps in EPS_GRID:
                     cfg = MechanismConfig(epsilon=eps, k=k, seed=0)
                     for word in space:
-                        ours = exact_offline_law(word, cfg)
+                        ours = exact_law("offline", word, cfg)
                         ref = exponential_mechanism(word, space, eps, k)
                         delta = max(
                             abs(ours.prob_of(w) - ref.prob_of(w)) for w in space
@@ -123,7 +122,7 @@ def test_criterion_02_markov_law_equals_exponential_mechanism(four_state_chain):
                 for eps in EPS_GRID:
                     cfg = MechanismConfig(epsilon=eps, k=k, seed=0)
                     for word in feasible:
-                        ours = exact_markov_offline_law(chain, word, cfg)
+                        ours = exact_law("mc-offline", word, cfg, chain)
                         ref = exponential_mechanism(word, feasible, eps, k)
                         delta = max(
                             abs(ours.prob_of(w) - ref.prob_of(w))
@@ -163,11 +162,10 @@ def test_criterion_03_exact_privacy_verification(four_state_chain):
     # negative controls: a retention probability forced to 1 leaks inputs
     cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
     broken_free = verify_dp(
-        "online", n=2, config=cfg, alphabet=Alphabet(("a", "b")),
-        tau_override=1.0,
+        "online", n=2, config=cfg, alphabet=Alphabet(("a", "b")), break_tau=True
     )
     broken_chain = verify_dp(
-        "mc-online", n=2, config=cfg, chain=four_state_chain, tau_override=1.0
+        "mc-online", n=2, config=cfg, chain=four_state_chain, break_tau=True
     )
     controls_flagged = (not broken_free.passed) and (not broken_chain.passed)
     elapsed = time.perf_counter() - start

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from worddp import MechanismConfig, Word, hamming_distance
 from worddp.analytics import (
     CSV_COLUMNS,
+    MarkovOfflineBounds,
     empirical_moments,
     markov_offline_bounds,
     offline_concentration_bound,
@@ -19,7 +20,7 @@ from worddp.analytics import (
 )
 from worddp.markov import MarkovChain, feasible_distance_counts
 from worddp.mechanisms import distance_distribution
-from worddp.oracle import exact_markov_offline_law
+from worddp.oracle import exact_law
 
 
 class TestClosedFormMoments:
@@ -84,7 +85,7 @@ class TestMarkovOfflineBounds:
         word = four_state_chain.word(["s1", "s2", "s3"])
         counts = feasible_distance_counts(four_state_chain, word)
         bounds = markov_offline_bounds(3, four_state_chain, 1.0, 1, counts)
-        law = exact_markov_offline_law(four_state_chain, word, cfg)
+        law = exact_law("mc-offline", word, cfg, four_state_chain)
         exact = sum(
             p * hamming_distance(w, word)
             for w, p in zip(law.words, law.probabilities)
@@ -118,6 +119,10 @@ class TestMarkovOfflineBounds:
         counts = feasible_distance_counts(four_state_chain, word)
         with pytest.raises(ValueError, match="adjacency level|epsilon"):
             markov_offline_bounds(3, four_state_chain, epsilon, k, counts)
+
+    def test_nan_bracket_rejected(self):
+        with pytest.raises(ValueError):
+            MarkovOfflineBounds(lower=float("nan"), upper=1.0, variance_bound=1.0)
 
     def test_survives_large_words(self, storybook_chain):
         # exact integer counts overflow floats; the log-space path must not
@@ -179,6 +184,19 @@ class TestConcentrationBounds:
                 online_concentration_bounds(3.0, eta)
         with pytest.raises(ValueError):
             online_concentration_bounds(-1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "bound, args",
+        [
+            (online_concentration_bounds, (float("nan"), 0.5)),
+            (online_concentration_bounds, (float("inf"), 0.5)),
+            (offline_concentration_bound, (float("nan"), 0.3)),
+        ],
+        ids=["online-nan", "online-inf", "offline-nan"],
+    )
+    def test_non_finite_rejected(self, bound, args):
+        with pytest.raises(ValueError):
+            bound(*args)
 
     def test_online_tightens_with_expectation(self):
         small = online_concentration_bounds(2.0, 0.5)

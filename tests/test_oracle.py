@@ -20,10 +20,7 @@ from worddp.oracle import (
     OutputDistribution,
     _law_matrix,
     all_words,
-    exact_markov_offline_law,
-    exact_markov_online_law,
-    exact_offline_law,
-    exact_online_law,
+    exact_law,
     exponential_mechanism,
     verify_dp,
 )
@@ -54,15 +51,10 @@ class TestOutputDistribution:
         with pytest.raises(ValueError):
             OutputDistribution((w,), np.array([0.5, 0.5]))
 
-    def test_nan_law_rejected(self, four_state_chain):
+    def test_nan_law_rejected(self):
         w, v = Word((0,), AB2), Word((1,), AB2)
         with pytest.raises(ValueError):
             OutputDistribution((w, v), np.array([np.nan, np.nan]))
-        # a NaN retention probability makes every entry of the law NaN
-        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
-        word = four_state_chain.word(["s1", "s2"])
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            exact_markov_online_law(four_state_chain, word, cfg, tau_override=np.nan)
 
     def test_prob_of_off_support_is_zero(self):
         w = Word((0,), AB2)
@@ -113,7 +105,7 @@ class TestOfflineLaw:
                 ab = Alphabet(tuple("abc"[:m]))
                 space = all_words(ab, n)
                 for word in space:
-                    ours = exact_offline_law(word, cfg)
+                    ours = exact_law("offline", word, cfg)
                     ref = exponential_mechanism(word, space, eps, k)
                     for w in space:
                         assert ours.prob_of(w) == pytest.approx(
@@ -125,14 +117,14 @@ class TestOfflineLaw:
         word = Word(tuple(range(10)), ab)
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         with pytest.raises(ValueError):
-            exact_offline_law(word, cfg)
+            exact_law("offline", word, cfg)
 
 
 class TestOnlineLaw:
     def test_product_form(self):
         word = encode_word(["a", "b", "a"], AB3)
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
-        law = exact_online_law(word, cfg)
+        law = exact_law("online", word, cfg)
         pol = online_policy(3, 1.0, 1)
         for w, p in zip(law.words, law.probabilities):
             d = hamming_distance(w, word)
@@ -140,19 +132,10 @@ class TestOnlineLaw:
             assert p == pytest.approx(direct, abs=1e-14)
 
     def test_policy_override_changes_law(self):
-        from worddp.mechanisms import OnlinePolicy
-
         word = encode_word(["a", "b"], AB2)
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
-        broken = OnlinePolicy(tau=1.0, alphabet_size=2)
-        law = exact_online_law(word, cfg, policy=broken)
+        law = exact_law("online", word, cfg, break_tau=True)
         assert law.prob_of(word) == pytest.approx(1.0, abs=1e-14)
-
-    def test_policy_of_another_alphabet_rejected(self):
-        word = encode_word(["a", "b"], AB2)
-        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
-        with pytest.raises(ValueError, match="alphabet size"):
-            exact_online_law(word, cfg, policy=online_policy(3, 1.0, 1))
 
 
 class TestMarkovOfflineLaw:
@@ -160,7 +143,7 @@ class TestMarkovOfflineLaw:
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         feasible = brute_feasible_words(four_state_chain, 3)
         for word in feasible:
-            ours = exact_markov_offline_law(four_state_chain, word, cfg)
+            ours = exact_law("mc-offline", word, cfg, four_state_chain)
             ref = exponential_mechanism(word, feasible, 1.0, 1)
             for w in feasible:
                 assert ours.prob_of(w) == pytest.approx(ref.prob_of(w), abs=1e-12)
@@ -168,7 +151,7 @@ class TestMarkovOfflineLaw:
     def test_zero_mass_off_feasible_set(self, four_state_chain):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         word = four_state_chain.word(["s1", "s2", "s3"])
-        law = exact_markov_offline_law(four_state_chain, word, cfg)
+        law = exact_law("mc-offline", word, cfg, four_state_chain)
         infeasible = four_state_chain.word(["s1", "s3", "s2"])
         assert law.prob_of(infeasible) == 0.0
 
@@ -176,8 +159,8 @@ class TestMarkovOfflineLaw:
         chain = complete_chain(3)
         cfg = MechanismConfig(epsilon=0.7, k=1, seed=0)
         word = Word((1, 0, 2), chain.states)
-        ours = exact_markov_offline_law(chain, word, cfg)
-        free = exact_offline_law(word, cfg)
+        ours = exact_law("mc-offline", word, cfg, chain)
+        free = exact_law("offline", word, cfg)
         for w in all_words(chain.states, 3):
             assert ours.prob_of(w) == pytest.approx(free.prob_of(w), abs=1e-12)
 
@@ -186,7 +169,7 @@ class TestMarkovOnlineLaw:
     def test_normalized_and_supported_on_feasible_paths(self, four_state_chain):
         cfg = MechanismConfig(epsilon=0.5, k=1, seed=0)
         word = four_state_chain.word(["s1", "s2", "s3"])
-        law = exact_markov_online_law(four_state_chain, word, cfg)
+        law = exact_law("mc-online", word, cfg, four_state_chain)
         assert law.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         for w in law.words:
             assert four_state_chain.is_feasible(w)
@@ -197,7 +180,7 @@ class TestMarkovOnlineLaw:
         cfg = MechanismConfig(epsilon=1.2, k=1, seed=0)
         word = four_state_chain.word(["s1", "s2", "s1"])
         pol = markov_online_policy(four_state_chain, 1.2, 1)
-        law = exact_markov_online_law(four_state_chain, word, cfg)
+        law = exact_law("mc-online", word, cfg, four_state_chain)
         for w, p in zip(law.words, law.probabilities):
             direct, prev = 1.0, four_state_chain.initial
             for true_s, out_s in zip(word.symbols, w.symbols):
@@ -208,18 +191,14 @@ class TestMarkovOnlineLaw:
     def test_initial_output_shifts_support(self, four_state_chain):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         word = four_state_chain.word(["s1", "s2"])
-        law = exact_markov_online_law(
-            four_state_chain, word, cfg, initial_output="s1"
-        )
+        law = exact_law("mc-online", word, cfg, four_state_chain.with_initial("s1"))
         starts = {w.symbols[0] for w in law.words}
         assert starts == set(four_state_chain.successors(1))
 
-    def test_tau_override_concentrates_mass(self, four_state_chain):
+    def test_break_tau_concentrates_mass(self, four_state_chain):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         word = four_state_chain.word(["s1", "s2"])
-        law = exact_markov_online_law(
-            four_state_chain, word, cfg, tau_override=1.0
-        )
+        law = exact_law("mc-online", word, cfg, four_state_chain, break_tau=True)
         assert law.prob_of(word) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize(
@@ -233,7 +212,7 @@ class TestMarkovOnlineLaw:
     def test_word_over_other_alphabet_rejected(self, four_state_chain, word):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         with pytest.raises(ValueError, match="state set"):
-            exact_markov_online_law(four_state_chain, word, cfg)
+            exact_law("mc-online", word, cfg, four_state_chain)
 
 
 class TestVerifyDp:
@@ -253,9 +232,7 @@ class TestVerifyDp:
 
     def test_online_negative_control_flagged(self):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
-        report = verify_dp(
-            "online", n=2, config=cfg, alphabet=AB2, tau_override=1.0
-        )
+        report = verify_dp("online", n=2, config=cfg, alphabet=AB2, break_tau=True)
         assert not report.passed
         assert report.zero_support_violations > 0
         assert np.isinf(report.max_log_ratio)
@@ -269,7 +246,7 @@ class TestVerifyDp:
     def test_markov_online_negative_control_flagged(self, four_state_chain):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         report = verify_dp(
-            "mc-online", n=2, config=cfg, chain=four_state_chain, tau_override=1.0
+            "mc-online", n=2, config=cfg, chain=four_state_chain, break_tau=True
         )
         assert not report.passed
 
@@ -317,10 +294,6 @@ class TestVerifyDp:
     def test_markov_offline_checked_from_the_given_start(self, four_state_chain):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         started = verify_dp(
-            "mc-offline", n=3, config=cfg, chain=four_state_chain,
-            initial_output="s3",
-        )
-        assert started == verify_dp(
             "mc-offline", n=3, config=cfg,
             chain=four_state_chain.with_initial("s3"),
         )
@@ -336,6 +309,8 @@ class TestVerifyDp:
             verify_dp("mc-online", n=2, config=cfg)
         with pytest.raises(ValueError):
             verify_dp("sideways", n=2, config=cfg, alphabet=AB2)
+        with pytest.raises(ValueError, match="needs a chain"):
+            exact_law("mc-online", Word((0,), AB2), cfg)
 
     @pytest.mark.parametrize("kind", ["offline", "online", "mc-offline", "mc-online"])
     def test_unused_arguments_ignored(self, kind, four_state_chain):
@@ -344,9 +319,9 @@ class TestVerifyDp:
         chained = kind.startswith("mc-")
         used = {"chain": four_state_chain} if chained else {"alphabet": AB2}
         if kind.endswith("online"):
-            used["tau_override"] = 1.0
+            used["break_tau"] = True
         report = verify_dp(kind, n=2, config=cfg, **used)
-        everything = dict(alphabet=AB2, chain=four_state_chain, tau_override=1.0)
+        everything = dict(alphabet=AB2, chain=four_state_chain, break_tau=True)
         assert verify_dp(kind, n=2, config=cfg, **everything) == report
         assert report.space_size == (four_state_chain.n_states if chained else 2)
 
@@ -362,9 +337,7 @@ class TestVerifyDp:
 
     def test_unbounded_ratio_serializes_as_null(self, tmp_path):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
-        report = verify_dp(
-            "online", n=2, config=cfg, alphabet=AB2, tau_override=1.0
-        )
+        report = verify_dp("online", n=2, config=cfg, alphabet=AB2, break_tau=True)
         assert report.to_json_dict()["max_log_ratio"] is None
 
 
@@ -383,11 +356,19 @@ def unreachable_chain() -> MarkovChain:
     return MarkovChain(("s0", "s1", "s2", "s3"), matrix, initial=2)
 
 
+def delayed_chain() -> MarkovChain:
+    """From its start s0 the release is forced for two steps, so a
+    ``tau = 1`` check first meets a choice at the third step, from s2."""
+    matrix = np.array([[0, 1, 0], [0, 0, 1], [0.5, 0, 0.5]])
+    return MarkovChain(("s0", "s1", "s2"), matrix, initial=0)
+
+
 # a 1-state chain, chains of 2, 3 and 4 states, one with unreachable
-# states, and the bundled one
+# states, one whose first choice comes late, and the bundled one
 LOOP_CHAINS = {
     "single": lambda: complete_chain(1),
     "unreachable": unreachable_chain,
+    "delayed": delayed_chain,
     "random-2": lambda: random_chain(5, 2),
     "random-3": lambda: random_chain(3, 3),
     "random-4": lambda: random_chain(99),
@@ -399,20 +380,20 @@ LOOP_CHAINS = {
 
 def _instances(kind, n, chain=None, alphabet=None, configs=LOOP_CONFIGS):
     """Keyword arguments of ``verify_dp``: each config, then the negative
-    control and, for ``mc-online``, starts from state 1 by name and index."""
-    variants = [(config, None, None) for config in configs]
+    control and, for ``mc-online``, the chain started at state 1 by name
+    and by index."""
+    variants = [(config, False, None) for config in configs]
     if kind.endswith("online"):
-        variants.append(((1.0, 1), 1.0, None))
+        variants.append(((1.0, 1), True, None))
     if kind == "mc-online" and chain.n_states > 1:
-        variants += [((1.0, 2), None, "s1"), ((0.1, 1), 1.0, 1)]
-    for (eps, k), tau, start in variants:
+        variants += [((1.0, 2), False, "s1"), ((0.1, 1), True, 1)]
+    for (eps, k), break_tau, start in variants:
         yield dict(
             n=n,
             config=MechanismConfig(epsilon=eps, k=k, seed=0),
             alphabet=alphabet,
-            chain=chain,
-            tau_override=tau,
-            initial_output=start,
+            chain=chain if start is None else chain.with_initial(start),
+            break_tau=break_tau,
         )
 
 
@@ -423,10 +404,7 @@ def _assert_matches_loop(kind, **kwargs):
         inputs = list(kwargs["chain"].feasible_words(kwargs["n"]))
     else:
         inputs = all_words(kwargs["chain"].states, kwargs["n"])
-    args = (
-        kind, inputs, kwargs["config"], kwargs["chain"],
-        kwargs["tau_override"], kwargs["initial_output"],
-    )
+    args = (kind, inputs, kwargs["config"], kwargs["chain"], kwargs["break_tau"])
     laws, support = _law_matrix(*args)
     ref_laws, ref_support = loop_law_matrix(*args)
     assert support == ref_support
@@ -507,8 +485,8 @@ class TestNoNumpyWarnings:
     @pytest.mark.parametrize(
         "kind, kwargs",
         [
-            ("online", dict(alphabet=AB3, tau_override=1.0)),
-            ("mc-online", dict(chain="four-state", tau_override=1.0)),
+            ("online", dict(alphabet=AB3, break_tau=True)),
+            ("mc-online", dict(chain="four-state", break_tau=True)),
             ("offline", dict(alphabet=Alphabet(("a",)))),
             ("online", dict(alphabet=Alphabet(("a",)))),
             ("mc-offline", dict(chain="single")),
@@ -522,4 +500,30 @@ class TestNoNumpyWarnings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = verify_dp(kind, n=3, config=cfg, **kwargs)
-        assert report.passed == (kwargs.get("tau_override") is None)
+        assert report.passed == (not kwargs.get("break_tau"))
+
+
+class TestNegativeControl:
+    """``break_tau`` leaks the input exactly where the release has a
+    choice to make."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(LOOP_CHAINS))
+    def test_markov_online_fails_where_a_choice_is_reachable(self, name, n):
+        chain = LOOP_CHAINS[name]()
+        # the states a release can sit in before each of its n steps
+        previous = frontier = {chain.initial}
+        for _ in range(n - 1):
+            frontier = {s for p in frontier for s in chain.successors(p)}
+            previous = previous | frontier
+        choice = any(chain.n_successors(s) >= 2 for s in previous)
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        report = verify_dp("mc-online", n=n, config=cfg, chain=chain, break_tau=True)
+        assert report.passed == (not choice)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_online_fails_unless_one_symbol(self, m):
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        alphabet = Alphabet(tuple("abcd"[:m]))
+        report = verify_dp("online", n=2, config=cfg, alphabet=alphabet, break_tau=True)
+        assert report.passed == (m == 1)
