@@ -6,70 +6,16 @@ adjacency relation.  Four samplers are provided: whole-word and per-symbol
 mechanisms over a free alphabet, and feasibility-preserving variants for
 words constrained by a Markov chain.  Supporting modules supply exact
 ground-truth distributions, privacy verification, and accuracy analytics.
+
+The package exports the ``__all__`` of ``core``, ``automaton``,
+``mechanisms`` and ``markov``; each public name is declared once, in its
+own module.
 """
 
-from worddp.core import (
-    Alphabet,
-    MechanismConfig,
-    Word,
-    encode_word,
-    hamming_distance,
-    is_adjacent,
-    make_rng,
-    split_rngs,
-)
-from worddp.automaton import DistanceAutomaton
-from worddp.mechanisms import (
-    DistanceDistribution,
-    OnlinePolicy,
-    distance_distribution,
-    online_policy,
-    privatize_offline,
-    privatize_online,
-    privatize_online_step,
-)
-from worddp.markov import (
-    DistanceCounts,
-    InfeasibleWordError,
-    MarkovChain,
-    MarkovOnlinePolicy,
-    ProductDistanceAutomaton,
-    build_bigram,
-    feasible_distance_counts,
-    markov_online_policy,
-    privatize_markov_offline,
-    privatize_markov_online,
-    privatize_markov_online_step,
-    tokenize,
-)
+from worddp import automaton, core, markov, mechanisms
+from worddp.core import *
+from worddp.automaton import *
+from worddp.mechanisms import *
+from worddp.markov import *
 
-__all__ = [
-    "Alphabet",
-    "DistanceAutomaton",
-    "DistanceCounts",
-    "DistanceDistribution",
-    "InfeasibleWordError",
-    "MarkovChain",
-    "MarkovOnlinePolicy",
-    "MechanismConfig",
-    "OnlinePolicy",
-    "ProductDistanceAutomaton",
-    "Word",
-    "build_bigram",
-    "distance_distribution",
-    "encode_word",
-    "feasible_distance_counts",
-    "hamming_distance",
-    "is_adjacent",
-    "make_rng",
-    "markov_online_policy",
-    "online_policy",
-    "privatize_markov_offline",
-    "privatize_markov_online",
-    "privatize_markov_online_step",
-    "privatize_offline",
-    "privatize_online",
-    "privatize_online_step",
-    "split_rngs",
-    "tokenize",
-]
+__all__ = core.__all__ + automaton.__all__ + mechanisms.__all__ + markov.__all__

@@ -76,6 +76,8 @@ class MarkovOfflineBounds:
     def __post_init__(self) -> None:
         if not self.lower <= self.upper + 1e-12:  # false for NaN
             raise ValueError("lower bound exceeds upper bound")
+        if not 0.0 <= self.variance_bound < inf:  # false for NaN
+            raise ValueError("variance bound must be finite and nonnegative")
 
 
 def markov_offline_bounds(

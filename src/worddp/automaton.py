@@ -39,6 +39,15 @@ __all__ = ["DistanceAutomaton"]
 _ENUMERATION_LIMIT = 10**6
 
 
+def _check_enumerable(count: int) -> None:
+    """Refuse to enumerate ``count`` words when that exceeds the limit
+    every enumerator in the package shares."""
+    if count > _ENUMERATION_LIMIT:
+        raise ValueError(
+            f"refusing to enumerate more than {_ENUMERATION_LIMIT} words"
+        )
+
+
 class _DistanceLanguage:
     """Recognizer of the words at Hamming distance exactly ``distance``
     from ``word`` in which every symbol may follow the one before it.
@@ -101,11 +110,7 @@ class _DistanceLanguage:
     def iter_language(self) -> Iterator[Word]:
         """Enumerate the accepted language, ascending in the symbol at each
         position (guarded against blow-up)."""
-        if self.language_size > _ENUMERATION_LIMIT:
-            raise ValueError(
-                f"language has {self.language_size} words; refusing to "
-                f"enumerate more than {_ENUMERATION_LIMIT}"
-            )
+        _check_enumerable(self.language_size)
 
         def rec(i: int, needed: int, state, prefix: list[int]) -> Iterator[Word]:
             if i == self._n:

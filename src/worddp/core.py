@@ -18,9 +18,9 @@ parallel work.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -161,19 +161,24 @@ def is_adjacent(a: Word, b: Word, k: int) -> bool:
 
 
 _SEED_BOUND = 2**64
+# A parameter beyond the largest float cannot enter float arithmetic.
+_FLOAT_MAX = sys.float_info.max
+_INTEGER = (int, np.integer)
 
 
 def _check_params(epsilon: float, k: int, *, n: int = 1, m: int = 1) -> None:
-    """Refuse public parameters no mechanism accepts: ``n < 1``, ``m < 1``,
-    an ``epsilon`` that is not finite and nonnegative, and a ``k`` that is
-    not an integer ``>= 1`` (``k = inf`` included), checked in that order."""
-    if n < 1:
-        raise ValueError("word length n must be at least 1")
-    if m < 1:
-        raise ValueError("alphabet size m must be at least 1")
-    if not (isfinite(epsilon) and epsilon >= 0):
+    """Refuse public parameters no mechanism accepts, checked in this order:
+    ``n`` and ``m`` must be integers ``>= 1`` (numpy integers included),
+    ``epsilon`` finite and nonnegative, and ``k`` an integer ``>= 1`` (an
+    integral float counts), each one within float range.  NaN fails every
+    condition."""
+    if not (isinstance(n, _INTEGER) and 1 <= n <= _FLOAT_MAX):
+        raise ValueError("word length n must be an integer >= 1")
+    if not (isinstance(m, _INTEGER) and 1 <= m <= _FLOAT_MAX):
+        raise ValueError("alphabet size m must be an integer >= 1")
+    if not 0 <= epsilon <= _FLOAT_MAX:
         raise ValueError("epsilon must be finite and nonnegative")
-    if not (isfinite(k) and k >= 1 and int(k) == k):
+    if not (1 <= k <= _FLOAT_MAX and k % 1 == 0):
         raise ValueError("adjacency level k must be an integer >= 1")
 
 
@@ -194,7 +199,7 @@ class MechanismConfig:
     def __post_init__(self) -> None:
         _check_params(self.epsilon, self.k)
         object.__setattr__(self, "k", int(self.k))
-        integer = isinstance(self.seed, (int, np.integer))
+        integer = isinstance(self.seed, _INTEGER)
         if self.seed is not None and not (integer and 0 <= self.seed < _SEED_BOUND):
             raise ValueError("seed must be an integer that fits in 64 unsigned bits")
 

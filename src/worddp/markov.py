@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from worddp.automaton import _ENUMERATION_LIMIT, _DistanceLanguage
+from worddp.automaton import _DistanceLanguage, _check_enumerable
 from worddp.core import Alphabet, MechanismConfig, Word, _check_params, encode_word
 from worddp.mechanisms import (
     DistanceDistribution, _class_law, privatize_offline, privatize_online,
@@ -204,11 +204,7 @@ class MarkovChain:
 
     def feasible_words(self, n: int) -> Iterator[Word]:
         """Enumerate feasible words of length ``n`` in successor order."""
-        if self.count_feasible_words(n) > _ENUMERATION_LIMIT:
-            raise ValueError(
-                f"more than {_ENUMERATION_LIMIT} feasible words; refusing "
-                "to enumerate"
-            )
+        _check_enumerable(self.count_feasible_words(n))
         def rec(prev: int, prefix: list[int]) -> Iterator[Word]:
             if len(prefix) == n:
                 yield Word(tuple(prefix), self.states)

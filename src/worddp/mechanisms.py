@@ -106,7 +106,8 @@ def _class_law(log_sizes: np.ndarray, epsilon: float, k: int) -> DistanceDistrib
     return DistanceDistribution(probs / probs.sum())
 
 
-@lru_cache(maxsize=128)
+# typed, so that 3.0 cannot hit the entry of 3 and bypass the integer rule
+@lru_cache(maxsize=128, typed=True)
 def distance_distribution(
     n: int, m: int, epsilon: float, k: int
 ) -> DistanceDistribution:
@@ -219,13 +220,12 @@ class OnlinePolicy:
 
 def online_policy(m: int, epsilon: float, k: int) -> OnlinePolicy:
     """Strongest per-symbol retention rate that still meets the word-level
-    budget: ``tau = 1 / ((m-1) * exp(-epsilon/k) + 1)``.
+    budget: ``tau = 1 / ((m-1) * exp(-epsilon/k) + 1)``, exactly 1 for
+    ``m = 1``.
 
     Construction cost is O(1); the rule is the same at every position.
     """
     _check_params(epsilon, k, m=m)
-    if m == 1:
-        return OnlinePolicy(tau=1.0, alphabet_size=1)
     tau = 1.0 / ((m - 1) * exp(-epsilon / k) + 1.0)
     return OnlinePolicy(tau=tau, alphabet_size=m)
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from worddp.automaton import _ENUMERATION_LIMIT as _LANGUAGE_LIMIT
+from worddp.automaton import _check_enumerable
 from worddp.core import Alphabet, MechanismConfig, Word, hamming_distance
 from worddp.markov import (
     CHAIN_MODES, RELEASES, MarkovChain, MarkovOnlinePolicy, _WordPlan,
@@ -75,11 +75,7 @@ def all_words(alphabet: Alphabet, n: int) -> list[Word]:
     """Every word of length ``n``, in lexicographic symbol order."""
     if n < 1:
         raise ValueError("word length must be at least 1")
-    if len(alphabet) ** n > _LANGUAGE_LIMIT:
-        raise ValueError(
-            f"{len(alphabet)}^{n} words exceed the enumeration limit "
-            f"{_LANGUAGE_LIMIT}"
-        )
+    _check_enumerable(len(alphabet) ** n)
     return [
         Word(sym, alphabet)
         for sym in itertools.product(range(len(alphabet)), repeat=n)
@@ -97,11 +93,7 @@ def exponential_mechanism(
     words = tuple(language)
     if len(words) == 0:
         raise ValueError("language must be nonempty")
-    if len(words) > _LANGUAGE_LIMIT:
-        raise ValueError(
-            f"language of {len(words)} words exceeds the enumeration limit; "
-            "the direct construction scales exponentially"
-        )
+    _check_enumerable(len(words))
     d = np.array([hamming_distance(word, w) for w in words], dtype=float)
     log_w = -epsilon * d / (2.0 * k)
     probs = np.exp(log_w - _logsumexp(log_w))
@@ -286,6 +278,7 @@ def verify_dp(
         alphabet = chain.states
     elif alphabet is None:
         raise ValueError(f"{kind} verification needs an alphabet")
+    _check_exact_size(n, len(alphabet))
     if kind == "mc-offline":
         inputs = list(chain.feasible_words(n))
     else:  # the other samplers accept any input word

@@ -124,6 +124,11 @@ class TestMarkovOfflineBounds:
         with pytest.raises(ValueError):
             MarkovOfflineBounds(lower=float("nan"), upper=1.0, variance_bound=1.0)
 
+    @pytest.mark.parametrize("variance_bound", [float("nan"), -1.0, float("inf")])
+    def test_bad_variance_bound_rejected(self, variance_bound):
+        with pytest.raises(ValueError, match="variance bound"):
+            MarkovOfflineBounds(0.0, 1.0, variance_bound)
+
     def test_survives_large_words(self, storybook_chain):
         # exact integer counts overflow floats; the log-space path must not
         rng = np.random.default_rng(0)

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from worddp import Alphabet, DistanceAutomaton, Word, encode_word, make_rng
+from worddp import Alphabet, DistanceAutomaton, MarkovChain, Word, encode_word, make_rng
+from worddp.automaton import _check_enumerable
+from worddp.oracle import all_words, exponential_mechanism
 from helpers import brute_distance_class, chi_square_pvalue
 
 AB3 = Alphabet(("a", "b", "c"))
+REFUSAL = "refusing to enumerate more than 1000000 words"
 
 
 def auto(word_text: str, distance: int, alphabet: Alphabet = AB3):
@@ -162,12 +165,37 @@ class TestSampling:
 
 
 class TestEnumerationGuard:
+    """One guard bounds every enumerator; each applies it before it builds
+    or scores a word, so refusing a huge enumeration costs nothing."""
+
     def test_iter_language_refuses_huge_classes(self):
         ab = Alphabet(tuple(f"t{i}" for i in range(50)))
         word = Word(tuple(i % 50 for i in range(60)), ab)
         a = DistanceAutomaton(word, 35)
         with pytest.raises(ValueError):
             list(a.iter_language())
+
+    def test_limit_is_inclusive(self):
+        _check_enumerable(10**6)
+        with pytest.raises(ValueError, match=REFUSAL):
+            _check_enumerable(10**6 + 1)
+
+    def test_all_words_refuses(self):
+        ten = Alphabet(tuple(f"t{i}" for i in range(10)))
+        with pytest.raises(ValueError, match=REFUSAL):
+            all_words(ten, 7)
+
+    def test_feasible_words_refuses(self):
+        chain = MarkovChain(
+            tuple(f"s{i}" for i in range(10)), np.full((10, 10), 0.1), initial=0
+        )
+        with pytest.raises(ValueError, match=REFUSAL):
+            list(chain.feasible_words(7))
+
+    def test_exponential_mechanism_refuses(self):
+        word = encode_word(["a", "b"], AB3)
+        with pytest.raises(ValueError, match=REFUSAL):
+            exponential_mechanism(word, [word] * (10**6 + 1), 1.0, 1)
 
 
 class TestDotExport:

@@ -113,6 +113,15 @@ class TestPrivatize:
         assert code == EXIT_USAGE
         assert "z" in err
 
+    def test_k_beyond_float_range_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "privatize", "--mode", "offline", "--epsilon", "1",
+            "--alphabet", "a,b", "--input", "a b", "--k", "1" + "0" * 400,
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: adjacency level k")
+
     def test_chain_modes(self, capsys, chain_file):
         for mode in ("mc-offline", "mc-online"):
             code, out, _ = run_cli(

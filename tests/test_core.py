@@ -269,13 +269,34 @@ ENTRY_POINTS = {
     ),
 }
 
+# Entry points that take a word length n or an alphabet size m, called with
+# the value under test in that one place (3 is the length of the counts).
+LENGTH_ENTRY_POINTS = {
+    "distance_distribution-n": lambda chain, v: distance_distribution(v, 2, 1.0, 1),
+    "distance_distribution-m": lambda chain, v: distance_distribution(3, v, 1.0, 1),
+    "online_policy-m": lambda chain, v: online_policy(v, 1.0, 1),
+    "offline_moments-n": lambda chain, v: offline_moments(v, 3, 1.0, 1),
+    "offline_moments-m": lambda chain, v: offline_moments(3, v, 1.0, 1),
+    "online_moments-n": lambda chain, v: online_moments(v, 3, 1.0, 1),
+    "online_moments-m": lambda chain, v: online_moments(3, v, 1.0, 1),
+    "markov_offline_bounds-n": lambda chain, v: markov_offline_bounds(
+        v, chain, 1.0, 1, DistanceCounts((1, 3, 3, 1))
+    ),
+}
+
 
 class TestParameterRule:
-    """One rule guards every entry point: epsilon finite and nonnegative,
-    k an integer >= 1."""
+    """One rule guards every entry point: n and m integers >= 1, epsilon
+    finite and nonnegative, k an integer >= 1, all within float range."""
 
     @pytest.mark.parametrize(
-        "epsilon, k", [(nan, 1), (inf, 1), (-inf, 1), (1.0, 1.5), (1.0, inf)]
+        "epsilon, k",
+        [
+            (nan, 1), (inf, 1), (-inf, 1), (1.0, 1.5), (1.0, inf),
+            # beyond float range, where math.isfinite raises OverflowError
+            pytest.param(10**400, 1, id="huge-1"),
+            pytest.param(1.0, 10**400, id="1.0-huge"),
+        ],
     )
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     def test_rejected(self, four_state_chain, entry, epsilon, k):
@@ -287,3 +308,17 @@ class TestParameterRule:
     def test_edges_accepted(self, four_state_chain, entry):
         # epsilon = 0 is maximal noise; an integral float k is an integer
         ENTRY_POINTS[entry](four_state_chain.with_initial("s0"), 0.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "value",
+        [nan, inf, 2.5, 3.0, pytest.param(10**400, id="huge")],
+    )
+    @pytest.mark.parametrize("entry", list(LENGTH_ENTRY_POINTS))
+    def test_length_rejected(self, four_state_chain, entry, value):
+        with pytest.raises(ValueError, match="word length n|alphabet size m"):
+            LENGTH_ENTRY_POINTS[entry](four_state_chain, value)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    @pytest.mark.parametrize("entry", list(LENGTH_ENTRY_POINTS))
+    def test_integer_lengths_accepted(self, four_state_chain, entry, value):
+        LENGTH_ENTRY_POINTS[entry](four_state_chain, value)

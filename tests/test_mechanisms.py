@@ -15,6 +15,7 @@ from worddp import (
     Alphabet,
     DistanceDistribution,
     MechanismConfig,
+    OnlinePolicy,
     Word,
     distance_distribution,
     encode_word,
@@ -310,6 +311,12 @@ class TestOnlinePolicy:
     def test_single_symbol_alphabet_keeps_input(self):
         pol = online_policy(1, 1.0, 1)
         assert pol.tau == 1.0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1e6])
+    def test_single_symbol_alphabet_is_the_identity(self, epsilon, k):
+        # the closed form gives tau = 1 / (0 * exp(-epsilon/k) + 1) = 1 exactly
+        assert online_policy(1, epsilon, k) == OnlinePolicy(tau=1.0, alphabet_size=1)
 
     @given(st.integers(2, 60), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)

@@ -237,6 +237,12 @@ class TestVerifyDp:
         assert report.zero_support_violations > 0
         assert np.isinf(report.max_log_ratio)
 
+    @pytest.mark.parametrize("kind", ["offline", "online", "mc-offline", "mc-online"])
+    def test_oversized_n_refused_before_enumerating(self, four_state_chain, kind):
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        with pytest.raises(ValueError, match="limited to n <= 4"):
+            verify_dp(kind, n=20_000, config=cfg, alphabet=AB2, chain=four_state_chain)
+
     def test_markov_modes_pass(self, four_state_chain):
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
         for kind in ("mc-offline", "mc-online"):
