@@ -5,21 +5,26 @@ word.  For the free-alphabet mechanisms the distance is a binomial count
 with closed-form mean and variance; for the chain-constrained whole-word
 mechanism only bracketing bounds are available, derived from the smallest
 and largest successor counts in the chain.
+
+:data:`MODES` is the one table of the four mechanisms, and
+:func:`resolve_mode` turns a mode and its inputs into what it releases with.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 from math import exp, inf, log, log1p
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from worddp.core import _check_params
-from worddp.markov import DistanceCounts, MarkovChain
-from worddp.mechanisms import _logsumexp
+from worddp.core import Alphabet, Word, _check_params
+from worddp.markov import (DistanceCounts, MarkovChain, feasible_distance_counts,
+                           privatize_markov_offline, privatize_markov_online)
+from worddp.mechanisms import _logsumexp, privatize_offline, privatize_online
 
 __all__ = [
     "Moments",
@@ -34,6 +39,9 @@ __all__ = [
     "empirical_moments",
     "CSV_COLUMNS",
     "write_accuracy_csv",
+    "Mode",
+    "MODES",
+    "resolve_mode",
 ]
 
 
@@ -223,3 +231,52 @@ def write_accuracy_csv(path: str | Path, rows: Iterable[dict]) -> None:
             if unknown:
                 raise ValueError(f"unexpected CSV columns: {sorted(unknown)}")
             writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
+
+
+class Mode(NamedTuple):
+    """One mechanism: its public ``privatize_*`` function, which takes the
+    chain (started at the public start) first when the mode is ``chained``,
+    and ``cells(word, chain, epsilon, k)``, the experiment row's analytic
+    ``expectation, variance, lower, upper``, empty where the mode has none."""
+
+    privatize: Callable[..., Word]
+    chained: bool
+    cells: Callable[..., tuple]
+
+
+def _moment_cells(moments, word: Word, chain, epsilon: float, k: int) -> tuple:
+    mean, variance = moments(len(word), len(word.alphabet), epsilon, k)
+    return mean, variance, mean, mean
+
+
+def _bracket_cells(word: Word, chain: MarkovChain, epsilon: float, k: int) -> tuple:
+    counts = feasible_distance_counts(chain, word)
+    bounds = markov_offline_bounds(len(word), chain, epsilon, k, counts)
+    return "", "", bounds.lower, bounds.upper
+
+
+MODES = {
+    "offline": Mode(privatize_offline, False, partial(_moment_cells, offline_moments)),
+    "online": Mode(privatize_online, False, partial(_moment_cells, online_moments)),
+    "mc-offline": Mode(privatize_markov_offline, True, _bracket_cells),
+    "mc-online": Mode(privatize_markov_online, True, lambda *_: ("",) * 4),
+}
+
+
+def resolve_mode(
+    mode: str, alphabet: Alphabet | None = None, chain: MarkovChain | None = None
+) -> tuple[Alphabet, MarkovChain | None, Callable[..., Word]]:
+    """``(alphabet, chain, release)`` of ``mode``: a chained mode releases
+    over ``chain.states`` from ``chain``, a free one over ``alphabet`` with
+    no chain, and each ignores the input it does not use.  Refuses an
+    unknown mode and a missing chain or alphabet."""
+    record = MODES.get(mode)
+    if record is None:
+        raise ValueError(f"unknown mechanism {mode!r}")
+    if record.chained:
+        if chain is None:
+            raise ValueError(f"{mode} releases need a chain")
+        return chain.states, chain, partial(record.privatize, chain)
+    if alphabet is None:
+        raise ValueError(f"{mode} releases need an alphabet")
+    return alphabet, None, record.privatize

@@ -5,6 +5,10 @@ bigram chain from a corpus, ``experiment`` sweeps a privacy-budget grid and
 writes accuracy rows to CSV, and ``verify`` runs exhaustive privacy checks
 on small instances.
 
+The modes come from the one table :data:`worddp.analytics.MODES`, whose
+record of a mode holds its release, whether it releases from a chain, and
+its analytic CSV cells.
+
 Exit codes: 0 success, 1 usage or input error, 2 verification failure,
 3 infeasible input word.
 """
@@ -16,23 +20,13 @@ import json
 import string
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from worddp.analytics import (
-    empirical_moments,
-    markov_offline_bounds,
-    offline_moments,
-    online_moments,
-    write_accuracy_csv,
-)
+from worddp.analytics import MODES, empirical_moments, resolve_mode, write_accuracy_csv
 from worddp.core import Alphabet, MechanismConfig, encode_word, hamming_distance, split_rngs
-from worddp.markov import (
-    CHAIN_MODES, RELEASES, InfeasibleWordError, MarkovChain, build_bigram,
-    feasible_distance_counts,
-)
+from worddp.markov import InfeasibleWordError, MarkovChain, build_bigram
 from worddp.oracle import verify_dp
 
 EXIT_OK = 0
@@ -56,26 +50,33 @@ def _load_alphabet(value: str) -> Alphabet:
     return Alphabet(tokens)
 
 
+def _inputs(
+    mode: str, alphabet: Alphabet | str | None, chain: str | None
+) -> tuple[Alphabet | None, MarkovChain | None]:
+    """The ``--alphabet`` and ``--chain`` values loaded, None where a flag is
+    absent.  ``mode`` must have the one it releases from (``verify --mode
+    all`` needs neither), and the error names the missing flag."""
+    if mode in MODES:
+        chained = MODES[mode].chained
+        flag, value = ("--chain", chain) if chained else ("--alphabet", alphabet)
+        if value is None:
+            raise ValueError(f"{flag} is required for mode {mode}")
+    if isinstance(alphabet, str):
+        alphabet = _load_alphabet(alphabet)
+    return alphabet, None if chain is None else MarkovChain.load(chain)
+
+
 def cmd_privatize(args: argparse.Namespace) -> None:
     """Release one privatized word on stdout."""
     config = MechanismConfig(epsilon=args.epsilon, k=args.k, seed=args.seed)
-    release = RELEASES[args.mode]
-    if args.mode not in CHAIN_MODES:
-        if args.alphabet is None:
-            raise ValueError(f"--alphabet is required for mode {args.mode}")
-        if args.initial_output is not None:
+    alphabet, chain = _inputs(args.mode, args.alphabet, args.chain)
+    if args.initial_output is not None:
+        if not MODES[args.mode].chained:
             raise ValueError(
                 f"--initial-output applies to the chain modes, not {args.mode}"
             )
-        alphabet = _load_alphabet(args.alphabet)
-    else:
-        if args.chain is None:
-            raise ValueError(f"--chain is required for mode {args.mode}")
-        chain = MarkovChain.load(args.chain)
-        if args.initial_output is not None:
-            chain = chain.with_initial(args.initial_output)
-        alphabet = chain.states
-        release = partial(release, chain)
+        chain = chain.with_initial(args.initial_output)
+    alphabet, _, release = resolve_mode(args.mode, alphabet, chain)
     word = encode_word(args.input.split(), alphabet)
     released = release(word, config)
     print(released.text())
@@ -116,21 +117,11 @@ class ExperimentSpec:
             raise ValueError("sample count must be at least 1")
         if not self.input_tokens:
             raise ValueError("input word must be nonempty")
-        chain_mode = self.mechanism in CHAIN_MODES
-        if self.mechanism not in RELEASES:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        elif chain_mode and self.chain is None:
-            raise ValueError(f"{self.mechanism} experiments need a chain")
-        elif not chain_mode and self.alphabet is None:
-            raise ValueError(f"{self.mechanism} experiments need an alphabet")
-        elif not chain_mode and self.initial_states:
+        resolve_mode(self.mechanism, self.alphabet, self.chain)
+        if self.initial_states and not MODES[self.mechanism].chained:
             raise ValueError(
                 f"initial states apply to the chain modes, not {self.mechanism}"
             )
-
-
-# the free modes' closed-form moments of the output distance
-MOMENTS = {"offline": offline_moments, "online": online_moments}
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
@@ -140,75 +131,44 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     of execution order and identical across runs with the same explicit
     seed.
     """
-    n = len(spec.input_tokens)
-    if spec.mechanism not in CHAIN_MODES:
-        alphabet, states = spec.alphabet, ("",)
-        starts: dict[str, MarkovChain | None] = {"": None}
-    else:
-        assert spec.chain is not None
-        alphabet = spec.chain.states
-        states = spec.initial_states or (spec.chain.initial_token,)
-        # one chain per start, so that its plans serve every epsilon
-        starts = {state: spec.chain.with_initial(state) for state in states}
-    space = len(alphabet)  # type: ignore[arg-type]
+    alphabet, chain, _ = resolve_mode(spec.mechanism, spec.alphabet, spec.chain)
     word = encode_word(spec.input_tokens, alphabet)
+    states, starts = ("",), {"": None}  # a free mode's one start
+    if chain is not None:
+        # one chain per start, so that its plans serve every epsilon
+        states = spec.initial_states or (chain.initial_token,)
+        starts = {state: chain.with_initial(state) for state in states}
 
     cells = [(eps, st) for eps in spec.epsilon_grid for st in states]
     streams = split_rngs(spec.seed, len(cells))
     rows = []
     for (eps, state), rng in zip(cells, streams):
         config = MechanismConfig(epsilon=eps, k=spec.k, seed=spec.seed)
-        chain = starts[state]
-        release = RELEASES[spec.mechanism]
-        if chain is not None:
-            release = partial(release, chain)
-        distances = np.array(
-            [
-                hamming_distance(word, release(word, config, rng=rng))
-                for _ in range(spec.samples)
-            ],
-            dtype=float,
-        )
-
-        stats = (
-            empirical_moments(distances)
-            if spec.samples > 1
-            else None
-        )
+        start = starts[state]
+        _, _, release = resolve_mode(spec.mechanism, alphabet, start)
+        distances = np.array([hamming_distance(word, release(word, config, rng=rng))
+                              for _ in range(spec.samples)], dtype=float)
+        stats = empirical_moments(distances) if spec.samples > 1 else None
         row: dict = {
             "mechanism": spec.mechanism,
             "initial_state": state,
             "epsilon": eps,
             "k": spec.k,
-            "n": n,
-            "m_or_S": space,
+            "n": len(word),
+            "m_or_S": len(alphabet),
             "samples": spec.samples,
             "empirical_mean": float(distances.mean()),
             "empirical_se": stats.se_mean if stats else "",
         }
-        if spec.mechanism in MOMENTS:
-            mom = MOMENTS[spec.mechanism](n, space, eps, spec.k)
-            row.update(
-                expectation=mom.expectation,
-                variance=mom.variance,
-                lower=mom.expectation,
-                upper=mom.expectation,
-            )
-        elif spec.mechanism == "mc-offline":
-            counts = feasible_distance_counts(chain, word)
-            bounds = markov_offline_bounds(n, chain, eps, spec.k, counts)
-            row.update(
-                expectation="", variance="",
-                lower=bounds.lower, upper=bounds.upper,
-            )
-        else:
-            row.update(expectation="", variance="", lower="", upper="")
+        analytic = MODES[spec.mechanism].cells(word, start, eps, spec.k)
+        row.update(zip(("expectation", "variance", "lower", "upper"), analytic))
         rows.append(row)
     return rows
 
 
 def cmd_experiment(args: argparse.Namespace) -> None:
     """Sweep epsilon (and initial states) and write accuracy rows to CSV."""
+    alphabet, chain = _inputs(args.mode, args.alphabet, args.chain)
     spec = ExperimentSpec(
         mechanism=args.mode,
         epsilon_grid=tuple(args.epsilon),
@@ -216,8 +176,8 @@ def cmd_experiment(args: argparse.Namespace) -> None:
         samples=args.samples,
         input_tokens=tuple(args.input.split()),
         seed=args.seed,
-        alphabet=_load_alphabet(args.alphabet) if args.alphabet else None,
-        chain=MarkovChain.load(args.chain) if args.chain else None,
+        alphabet=alphabet,
+        chain=chain,
         initial_states=tuple(args.initial_state or ()),
     )
     rows = run_experiment(spec)
@@ -227,17 +187,15 @@ def cmd_experiment(args: argparse.Namespace) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> None:
     """Exhaustively check the privacy inequality; exit 2 on any failure."""
-    modes = [args.mode]
-    if args.mode == "all":
-        has_chain = args.chain is not None
-        modes = [mode for mode in RELEASES if has_chain or mode not in CHAIN_MODES]
-    elif args.mode in CHAIN_MODES and args.chain is None:
-        raise ValueError(f"--chain is required for mode {args.mode}")
     letters = string.ascii_lowercase
     if not 1 <= args.m <= len(letters):
         raise ValueError(f"--m must be between 1 and {len(letters)}, got {args.m}")
     alphabet = Alphabet(tuple(letters[: args.m]))
-    chain = MarkovChain.load(args.chain) if args.chain is not None else None
+    alphabet, chain = _inputs(args.mode, alphabet, args.chain)
+    modes = [args.mode]
+    if args.mode not in MODES:  # all: every mode the inputs allow
+        has_chain = chain is not None
+        modes = [kind for kind, mode in MODES.items() if has_chain or not mode.chained]
 
     reports = []
     for kind in modes:
@@ -298,7 +256,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The ``worddp`` command line; ``handler`` is the subcommand's function."""
     shared = argparse.ArgumentParser(add_help=False)  # privatize and experiment
-    shared.add_argument("--mode", choices=tuple(RELEASES), required=True)
+    shared.add_argument("--mode", choices=tuple(MODES), required=True)
     shared.add_argument("--k", type=int, default=1,
                         help="adjacency level (max Hamming distance of neighbors)")
     shared.add_argument("--seed", type=int,
@@ -345,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     option("--out", required=True)
 
     option = command("verify", cmd_verify)
-    option("--mode", choices=("all", *RELEASES), default="all",
+    option("--mode", choices=("all", *MODES), default="all",
            help="mechanism to check")
     option("--n", type=int, default=2, help="word length for the checked instances")
     option("--m", type=int, default=2,

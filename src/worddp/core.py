@@ -155,8 +155,8 @@ def hamming_distance(a: Word, b: Word) -> int:
 
 def is_adjacent(a: Word, b: Word, k: int) -> bool:
     """True when the words are within Hamming distance ``k`` of each other."""
-    if k < 0:
-        raise ValueError("adjacency level k must be nonnegative")
+    if not (k >= 0 and k % 1 == 0):  # false for NaN and infinity
+        raise ValueError("adjacency level k must be an integer >= 0")
     return hamming_distance(a, b) <= k
 
 

@@ -40,10 +40,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from worddp.automaton import _DistanceLanguage, _check_enumerable
-from worddp.core import Alphabet, MechanismConfig, Word, _check_params, encode_word
-from worddp.mechanisms import (
-    DistanceDistribution, _class_law, privatize_offline, privatize_online,
+from worddp.core import (
+    _INTEGER, Alphabet, MechanismConfig, Word, _check_params, encode_word,
 )
+from worddp.mechanisms import DistanceDistribution, _class_law
 
 __all__ = [
     "InfeasibleWordError",
@@ -191,20 +191,26 @@ class MarkovChain:
 
     def count_feasible_words(self, n: int) -> int:
         """Exact number of feasible words of length ``n``."""
-        if n < 1:
-            raise ValueError("word length must be at least 1")
         return self._walks(n)[self.initial]
 
-    def _walks(self, n: int) -> list[int]:
-        """Number of length-``n`` walks from each state, exactly."""
+    def _walks(self, n: int, guard: bool = False) -> list[int]:
+        """Number of length-``n`` walks from each state, exactly.  With
+        ``guard`` the enumeration limit sees the count from the initial state
+        at each length; no count falls as the length grows (every state has
+        a successor), so an oversized ``n`` is refused at the first length
+        past the limit."""
+        if not (isinstance(n, _INTEGER) and n >= 1):
+            raise ValueError("word length must be an integer >= 1")
         walks = [1] * self.n_states
         for _ in range(n):
             walks = [sum(map(walks.__getitem__, succ)) for succ in self._successors]
+            if guard:
+                _check_enumerable(walks[self.initial])
         return walks
 
     def feasible_words(self, n: int) -> Iterator[Word]:
         """Enumerate feasible words of length ``n`` in successor order."""
-        _check_enumerable(self.count_feasible_words(n))
+        self._walks(n, guard=True)
         def rec(prev: int, prefix: list[int]) -> Iterator[Word]:
             if len(prefix) == n:
                 yield Word(tuple(prefix), self.states)
@@ -703,13 +709,3 @@ def privatize_markov_online(
         symbols.append(prev)
     return Word(tuple(symbols), chain.states)
 
-
-# each mode's release; a chain mode's takes the chain, started at the public
-# start, as its first argument
-RELEASES = {
-    "offline": privatize_offline,
-    "online": privatize_online,
-    "mc-offline": privatize_markov_offline,
-    "mc-online": privatize_markov_online,
-}
-CHAIN_MODES = ("mc-offline", "mc-online")

@@ -25,7 +25,7 @@ from math import exp, lgamma
 
 import numpy as np
 
-from worddp.core import MechanismConfig, Word, _check_params
+from worddp.core import _INTEGER, MechanismConfig, Word, _check_params
 
 __all__ = [
     "DistanceDistribution",
@@ -199,8 +199,9 @@ class OnlinePolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet size must be at least 1")
+        size = self.alphabet_size
+        if not (isinstance(size, _INTEGER) and size >= 1):
+            raise ValueError("alphabet size must be an integer >= 1")
 
     @property
     def substitution_probability(self) -> float:

@@ -17,11 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
+from worddp.analytics import resolve_mode
 from worddp.automaton import _check_enumerable
 from worddp.core import Alphabet, MechanismConfig, Word, hamming_distance
-from worddp.markov import (
-    CHAIN_MODES, RELEASES, MarkovChain, MarkovOnlinePolicy, _WordPlan,
-)
+from worddp.markov import MarkovChain, MarkovOnlinePolicy, _WordPlan
 from worddp.mechanisms import (
     OnlinePolicy, _logsumexp, _match_probability, distance_distribution,
     online_policy,
@@ -181,19 +180,11 @@ def _law_matrix(
     a free mode ignores ``chain``.  ``break_tau`` makes the per-symbol
     modes keep a reachable true symbol with probability 1.
     """
-    if kind not in RELEASES:
-        raise ValueError(f"unknown mechanism kind {kind!r}")
-    n = len(inputs[0])
+    alphabet, chain, _ = resolve_mode(kind, inputs[0].alphabet, chain)
+    if chain is not None and any(word.alphabet != alphabet for word in inputs):
+        raise ValueError("word is not over this chain's state set")
+    n, m = len(inputs[0]), len(alphabet)
     eps, k = config.epsilon, config.k
-    if kind in CHAIN_MODES:
-        if chain is None:
-            raise ValueError(f"{kind} needs a chain")
-        if any(word.alphabet != chain.states for word in inputs):
-            raise ValueError("word is not over this chain's state set")
-        alphabet = chain.states
-    else:
-        alphabet, chain = inputs[0].alphabet, None
-    m = len(alphabet)
     _check_exact_size(n, m)
     support = tuple(chain.feasible_words(n) if chain else all_words(alphabet, n))
     x, w = _symbols(inputs), _symbols(support)
@@ -272,12 +263,7 @@ def verify_dp(
     else the first pair reaching the largest ratio, at its first argmax.
     A mode ignores the arguments it does not use.
     """
-    if kind in CHAIN_MODES:
-        if chain is None:
-            raise ValueError(f"{kind} verification needs a chain")
-        alphabet = chain.states
-    elif alphabet is None:
-        raise ValueError(f"{kind} verification needs an alphabet")
+    alphabet, chain, _ = resolve_mode(kind, alphabet, chain)
     _check_exact_size(n, len(alphabet))
     if kind == "mc-offline":
         inputs = list(chain.feasible_words(n))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from worddp import MechanismConfig, Word, hamming_distance
+from worddp import Alphabet, MechanismConfig, Word, hamming_distance
 from worddp.analytics import (
     CSV_COLUMNS,
+    MODES,
     MarkovOfflineBounds,
     empirical_moments,
     markov_offline_bounds,
@@ -16,11 +17,13 @@ from worddp.analytics import (
     offline_moments,
     online_concentration_bounds,
     online_moments,
+    resolve_mode,
     write_accuracy_csv,
 )
+from worddp.cli import ExperimentSpec, run_experiment
 from worddp.markov import MarkovChain, feasible_distance_counts
 from worddp.mechanisms import distance_distribution
-from worddp.oracle import exact_law
+from worddp.oracle import exact_law, verify_dp
 
 
 class TestClosedFormMoments:
@@ -290,3 +293,82 @@ class TestAccuracyCsv:
     def test_unknown_column_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_accuracy_csv(tmp_path / "x.csv", [{"mechanism": "a", "zzz": 1}])
+
+
+AB2 = Alphabet(("a", "b"))
+CFG = MechanismConfig(epsilon=1.0, k=1, seed=0)
+
+
+def _spec(mode, alphabet, chain):
+    return ExperimentSpec(
+        mechanism=mode, epsilon_grid=(1.0,), k=1, samples=2, input_tokens=("a",),
+        seed=0, alphabet=alphabet, chain=chain,
+    )
+
+
+def _run(mode, alphabet, chain):
+    # a valid spec, given the inputs under test past its own check
+    spec = _spec("offline", AB2, None)
+    for field, value in (("mechanism", mode), ("alphabet", alphabet), ("chain", chain)):
+        object.__setattr__(spec, field, value)
+    return run_experiment(spec)
+
+
+# every library entry point that takes a mode, called as (mode, alphabet, chain)
+MODE_ENTRY_POINTS = {
+    "ExperimentSpec": _spec,
+    "run_experiment": _run,
+    "verify_dp": lambda mode, alphabet, chain: verify_dp(
+        mode, n=1, config=CFG, alphabet=alphabet, chain=chain
+    ),
+    "exact_law": lambda mode, alphabet, chain: exact_law(
+        mode, Word((0,), alphabet), CFG, chain
+    ),
+}
+# (mode, the inputs given, the one message of its refusal)
+REFUSALS = [
+    ("sideways", "both", "unknown mechanism 'sideways'"),
+    ("mc-offline", "alphabet", "mc-offline releases need a chain"),
+    ("mc-online", "alphabet", "mc-online releases need a chain"),
+    ("offline", "chain", "offline releases need an alphabet"),
+    ("online", "chain", "online releases need an alphabet"),
+]
+
+
+class TestModeTable:
+    """One table holds the four modes, and one resolver refuses an unknown
+    mode or a missing input with the same message at every entry point."""
+
+    @pytest.mark.parametrize(
+        "entry, mode, given, message",
+        [
+            pytest.param(entry, *refusal, id=f"{entry}-{refusal[0]}")
+            for entry in MODE_ENTRY_POINTS
+            for refusal in REFUSALS
+            # a word always carries its alphabet
+            if not (entry == "exact_law" and refusal[1] == "chain")
+        ],
+    )
+    def test_refused_with_one_message(
+        self, four_state_chain, entry, mode, given, message
+    ):
+        alphabet = None if given == "chain" else AB2
+        chain = None if given == "alphabet" else four_state_chain
+        with pytest.raises(ValueError) as err:
+            MODE_ENTRY_POINTS[entry](mode, alphabet, chain)
+        assert str(err.value) == message
+
+    def test_the_four_modes_in_order(self):
+        assert list(MODES) == ["offline", "online", "mc-offline", "mc-online"]
+        assert [mode.chained for mode in MODES.values()] == [False, False, True, True]
+
+    @pytest.mark.parametrize("name", list(MODES))
+    def test_resolved_release_is_the_public_one(self, four_state_chain, name):
+        mode = MODES[name]
+        word = four_state_chain.word(["s1", "s2", "s3"])
+        alphabet, chain, release = resolve_mode(name, word.alphabet, four_state_chain)
+        # each mode ignores the input it does not release from
+        assert chain is (four_state_chain if mode.chained else None)
+        assert alphabet == word.alphabet
+        bound = (four_state_chain,) if mode.chained else ()
+        assert release(word, CFG) == mode.privatize(*bound, word, CFG)

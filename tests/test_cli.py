@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from worddp import Alphabet, MarkovChain
+from worddp.analytics import MODES
 from worddp.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -586,3 +587,28 @@ class TestEntryPoint:
         code, out, _ = run_cli(capsys, command, "--help")
         assert code == EXIT_OK
         assert f"--mode {choices}\n" in out
+
+
+class TestModeTable:
+    """The CLI takes its modes from the one table and names none itself."""
+
+    @pytest.mark.parametrize(
+        "command, extra", [("privatize", ()), ("experiment", ()), ("verify", ("all",))]
+    )
+    def test_mode_choices_are_the_table(self, capsys, command, extra):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == EXIT_OK
+        assert f"--mode {{{','.join((*extra, *MODES))}}}\n" in out
+
+    @pytest.mark.parametrize("with_chain", [False, True])
+    def test_verify_all_runs_chain_modes_only_with_a_chain(
+        self, capsys, chain_file, with_chain
+    ):
+        code, out, _ = run_cli(
+            capsys, "verify", *(("--chain", chain_file) if with_chain else ())
+        )
+        assert code == EXIT_OK
+        checked = list(dict.fromkeys(line.split()[0] for line in out.splitlines()))
+        assert checked == [
+            name for name, mode in MODES.items() if with_chain or not mode.chained
+        ]

@@ -174,6 +174,13 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             is_adjacent(u, u, -1)
 
+    @pytest.mark.parametrize("k", [nan, 0.5, inf])
+    def test_k_not_an_integer_rejected(self, k):
+        # a NaN level used to make a word not adjacent to itself
+        u = Word((0,), AB3)
+        with pytest.raises(ValueError, match="adjacency level k must be an integer"):
+            is_adjacent(u, u, k)
+
     @given(word_pairs(), st.integers(0, 6))
     def test_matches_distance(self, triple, k):
         u, v, _ = triple

@@ -229,6 +229,30 @@ class TestFeasibility:
             assert len(words) == four_state_chain.count_feasible_words(n)
             assert words == brute_feasible_words(four_state_chain, n)
 
+    @pytest.mark.parametrize("n", [2.5, float("nan"), 3.0])
+    def test_length_must_be_an_integer(self, four_state_chain, n):
+        with pytest.raises(ValueError, match="word length must be an integer"):
+            four_state_chain.count_feasible_words(n)
+        with pytest.raises(ValueError, match="word length must be an integer"):
+            next(four_state_chain.feasible_words(n))
+
+    def test_oversized_length_refused_at_the_first_length_past_the_limit(
+        self, monkeypatch
+    ):
+        # the count never falls as the length grows, so the complete 4-state
+        # chain is refused at length 10 (4^10 > 10^6), after 10 levels of
+        # sums rather than 20000
+        guard, seen = markov._check_enumerable, []
+
+        def counting_guard(count):
+            seen.append(count)
+            guard(count)
+
+        monkeypatch.setattr(markov, "_check_enumerable", counting_guard)
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            next(complete_chain(4).feasible_words(20000))
+        assert seen == [4**length for length in range(1, 11)]
+
     def test_cycle_chain_single_path(self):
         chain = cycle_chain()
         assert chain.count_feasible_words(5) == 1

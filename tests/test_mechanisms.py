@@ -308,6 +308,12 @@ class TestOnlinePolicy:
         assert pol.tau == pytest.approx(0.25, abs=1e-14)
         assert pol.substitution_probability == pytest.approx(0.25, abs=1e-14)
 
+    @pytest.mark.parametrize("size", [2.5, float("nan"), 3.0])
+    def test_alphabet_size_must_be_an_integer(self, size):
+        # a size of 2.5 used to release the float 2.0 as a symbol
+        with pytest.raises(ValueError, match="alphabet size must be an integer"):
+            OnlinePolicy(tau=0.5, alphabet_size=size)
+
     def test_single_symbol_alphabet_keeps_input(self):
         pol = online_policy(1, 1.0, 1)
         assert pol.tau == 1.0
