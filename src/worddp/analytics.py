@@ -21,7 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from worddp.core import Alphabet, Word, _check_params
+from worddp.core import Alphabet, Word, _check_params, _integer
 from worddp.markov import (DistanceCounts, MarkovChain, feasible_distance_counts,
                            privatize_markov_offline, privatize_markov_online)
 from worddp.mechanisms import _logsumexp, privatize_offline, privatize_online
@@ -141,8 +141,7 @@ def offline_concentration_bound(n: int, eta: float) -> float:
     """
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in the open interval (0, 0.5)")
-    if not n >= 1:  # false for NaN
-        raise ValueError("word length n must be at least 1")
+    _integer(n, "word length n must be at least 1", low=1)
     return min(1.0, 2.0 * exp(-2.0 * eta * eta / (n * n)))
 
 

@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from worddp.core import Word
+from worddp.core import Alphabet, Word, _integer
 from worddp.mechanisms import _match_probability, _walk
 
 __all__ = ["DistanceAutomaton"]
@@ -46,6 +46,27 @@ def _check_enumerable(count: int) -> None:
         raise ValueError(
             f"refusing to enumerate more than {_ENUMERATION_LIMIT} words"
         )
+
+
+def _enumerate(alphabet: Alphabet, n: int, start, branches) -> Iterator[Word]:
+    """Every length-``n`` word that ``branches`` spells from ``start``, depth
+    first: ``branches(i, node)`` yields the ``(symbol, next node)`` pairs that
+    may fill position ``i`` after ``node``, in visiting order.  An explicit
+    stack replaces recursion, so no word length meets a recursion limit."""
+    prefix: list[int] = []
+    stack = [iter(branches(0, start))]
+    while stack:
+        i = len(stack) - 1  # the position being filled
+        step = next(stack[i], None)
+        if step is None:
+            stack.pop()
+            continue
+        del prefix[i:]
+        prefix.append(step[0])
+        if i + 1 == n:
+            yield Word(tuple(prefix), alphabet)
+        else:
+            stack.append(iter(branches(i + 1, step[1])))
 
 
 class _DistanceLanguage:
@@ -63,13 +84,11 @@ class _DistanceLanguage:
 
     def __init__(self, word: Word, distance: int):
         n = len(word)
-        if not 0 <= distance <= n:
-            raise ValueError(
-                f"target distance {distance} must lie in [0, {n}] for a "
-                f"length-{n} word"
-            )
         self.word = word
-        self.distance = distance
+        self.distance = _integer(
+            distance, "target distance {0} must lie in [0, {1}] for a length-{1} "
+            "word", n, high=n,
+        )
         self._n = n
         if self.language_size == 0:
             raise ValueError(
@@ -112,16 +131,15 @@ class _DistanceLanguage:
         position (guarded against blow-up)."""
         _check_enumerable(self.language_size)
 
-        def rec(i: int, needed: int, state, prefix: list[int]) -> Iterator[Word]:
-            if i == self._n:
-                yield Word(tuple(prefix), self.word.alphabet)
-                return
+        def branches(i: int, node: tuple) -> Iterator[tuple[int, tuple]]:
+            needed, state = node
             for s in self._next(state):
                 left = needed - (s != self.word.symbols[i])
                 if self._count(i + 1, left, s) > 0:
-                    yield from rec(i + 1, left, s, prefix + [s])
+                    yield s, (left, s)
 
-        yield from rec(0, self.distance, self._start, [])
+        start = (self.distance, self._start)
+        yield from _enumerate(self.word.alphabet, self._n, start, branches)
 
 
 class DistanceAutomaton(_DistanceLanguage):

@@ -25,7 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from worddp.analytics import MODES, empirical_moments, resolve_mode, write_accuracy_csv
-from worddp.core import Alphabet, MechanismConfig, encode_word, hamming_distance, split_rngs
+from worddp.core import (
+    Alphabet, MechanismConfig, _integer, encode_word, hamming_distance, split_rngs,
+)
 from worddp.markov import InfeasibleWordError, MarkovChain, build_bigram
 from worddp.oracle import verify_dp
 
@@ -113,8 +115,7 @@ class ExperimentSpec:
             raise ValueError("epsilon grid must be nonempty")
         if not all(e > 0 for e in self.epsilon_grid):  # false for a NaN
             raise ValueError("experiment epsilons must be positive")
-        if self.samples < 1:
-            raise ValueError("sample count must be at least 1")
+        _integer(self.samples, "sample count must be at least 1", low=1)
         if not self.input_tokens:
             raise ValueError("input word must be nonempty")
         resolve_mode(self.mechanism, self.alphabet, self.chain)

@@ -11,6 +11,8 @@ function of its input; an explicit seed makes the output a function of the
 seed alone.  :func:`split_rngs` derives independent child streams for
 parallel work.
 
+:func:`_integer` is the one rule on integer arguments: every length,
+index, distance, count and seed in the package passes it.
 :func:`_check_params` holds the rule on the public parameters that
 :class:`MechanismConfig` and every mechanism's entry points share.
 """
@@ -18,9 +20,11 @@ parallel work.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -103,17 +107,20 @@ class Word:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
-        symbols = tuple(map(int, self.symbols))
-        object.__setattr__(self, "symbols", symbols)
-        if len(symbols) == 0:
+        raw = tuple(self.symbols)
+        if len(raw) == 0:
             raise ValueError("words must have length at least 1")
         m = len(self.alphabet)
-        if min(symbols) < 0 or max(symbols) >= m:
-            pos, s = next((p, s) for p, s in enumerate(symbols) if not 0 <= s < m)
-            raise ValueError(
-                f"symbol index {s} at position {pos} is outside the alphabet "
-                f"(size {m})"
-            )
+        try:
+            symbols = tuple(map(operator.index, raw))
+            valid = min(symbols) >= 0 and max(symbols) < m
+        except TypeError:  # a symbol that is not an integer
+            valid = False
+        if not valid:  # the first bad position fails the integer rule
+            for pos, s in enumerate(raw):
+                _integer(s, "symbol index {} at position {} is outside the "
+                         "alphabet (size {})", pos, m, high=m - 1)
+        object.__setattr__(self, "symbols", symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -163,19 +170,34 @@ def is_adjacent(a: Word, b: Word, k: int) -> bool:
 _SEED_BOUND = 2**64
 # A parameter beyond the largest float cannot enter float arithmetic.
 _FLOAT_MAX = sys.float_info.max
-_INTEGER = (int, np.integer)
+
+
+def _integer(value, message: str, *details, low: int = 0, high: float = inf) -> int:
+    """``value`` as an ``int``, when it is an integer in ``[low, high]``.
+
+    The one rule on integer arguments: ``operator.index`` accepts ``int``
+    and numpy integers and refuses floats (``2.0`` included), NaN and
+    strings.  Anything else raises ``ValueError`` with
+    ``message.format(value, *details)``, formatted only then, so that a
+    per-symbol check builds no string.
+    """
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or not low <= index <= high:
+        raise ValueError(message.format(value, *details))
+    return index
 
 
 def _check_params(epsilon: float, k: int, *, n: int = 1, m: int = 1) -> None:
     """Refuse public parameters no mechanism accepts, checked in this order:
-    ``n`` and ``m`` must be integers ``>= 1`` (numpy integers included),
+    ``n`` and ``m`` must be integers ``>= 1`` (the rule of :func:`_integer`),
     ``epsilon`` finite and nonnegative, and ``k`` an integer ``>= 1`` (an
     integral float counts), each one within float range.  NaN fails every
     condition."""
-    if not (isinstance(n, _INTEGER) and 1 <= n <= _FLOAT_MAX):
-        raise ValueError("word length n must be an integer >= 1")
-    if not (isinstance(m, _INTEGER) and 1 <= m <= _FLOAT_MAX):
-        raise ValueError("alphabet size m must be an integer >= 1")
+    _integer(n, "word length n must be an integer >= 1", low=1, high=_FLOAT_MAX)
+    _integer(m, "alphabet size m must be an integer >= 1", low=1, high=_FLOAT_MAX)
     if not 0 <= epsilon <= _FLOAT_MAX:
         raise ValueError("epsilon must be finite and nonnegative")
     if not (1 <= k <= _FLOAT_MAX and k % 1 == 0):
@@ -199,9 +221,10 @@ class MechanismConfig:
     def __post_init__(self) -> None:
         _check_params(self.epsilon, self.k)
         object.__setattr__(self, "k", int(self.k))
-        integer = isinstance(self.seed, _INTEGER)
-        if self.seed is not None and not (integer and 0 <= self.seed < _SEED_BOUND):
-            raise ValueError("seed must be an integer that fits in 64 unsigned bits")
+        if self.seed is not None:
+            seed = _integer(self.seed, "seed must be an integer that fits in 64 "
+                            "unsigned bits", high=_SEED_BOUND - 1)
+            object.__setattr__(self, "seed", seed)
 
     def rng(self) -> np.random.Generator:
         return make_rng(self.seed)
@@ -218,7 +241,6 @@ def make_rng(seed: int | None) -> np.random.Generator:
 def split_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
     """``n`` independent child generators of one root, derived from ``seed``
     (or from OS entropy for ``None``), for parallel fan-out."""
-    if n < 0:
-        raise ValueError("cannot split into a negative number of streams")
+    n = _integer(n, "cannot split into a negative number of streams")
     children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.default_rng(c) for c in children]

@@ -39,9 +39,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from worddp.automaton import _DistanceLanguage, _check_enumerable
+from worddp.automaton import _DistanceLanguage, _check_enumerable, _enumerate
 from worddp.core import (
-    _INTEGER, Alphabet, MechanismConfig, Word, _check_params, encode_word,
+    Alphabet, MechanismConfig, Word, _check_params, _integer, encode_word,
 )
 from worddp.mechanisms import DistanceDistribution, _class_law
 
@@ -69,7 +69,8 @@ _ROW_SUM_TOL = 1e-9
 # released again and again (a repeated release, an experiment sweep) keeps
 # hitting.
 _WORD_PLAN_LIMIT = 4
-# (epsilon, k) pairs whose ``mc-online`` policies a chain keeps.
+# (epsilon, k) pairs a chain keeps an ``mc-online`` policy for, and a word
+# plan an ``mc-offline`` distance law for.
 _ONLINE_POLICY_LIMIT = 8
 
 
@@ -151,10 +152,9 @@ class MarkovChain:
 
     def _state_index(self, state: int | str) -> int:
         """Index of ``state``, given by name or by index."""
-        index = self.states.index(state) if isinstance(state, str) else int(state)
-        if not 0 <= index < self.n_states:
-            raise ValueError(f"state index {index} out of range")
-        return index
+        if isinstance(state, str):
+            return self.states.index(state)
+        return _integer(state, "state index {} out of range", high=self.n_states - 1)
 
     def with_initial(self, initial: int | str) -> "MarkovChain":
         return MarkovChain(self.states, self.matrix, initial)
@@ -199,8 +199,7 @@ class MarkovChain:
         at each length; no count falls as the length grows (every state has
         a successor), so an oversized ``n`` is refused at the first length
         past the limit."""
-        if not (isinstance(n, _INTEGER) and n >= 1):
-            raise ValueError("word length must be an integer >= 1")
+        n = _integer(n, "word length must be an integer >= 1", low=1)
         walks = [1] * self.n_states
         for _ in range(n):
             walks = [sum(map(walks.__getitem__, succ)) for succ in self._successors]
@@ -211,13 +210,8 @@ class MarkovChain:
     def feasible_words(self, n: int) -> Iterator[Word]:
         """Enumerate feasible words of length ``n`` in successor order."""
         self._walks(n, guard=True)
-        def rec(prev: int, prefix: list[int]) -> Iterator[Word]:
-            if len(prefix) == n:
-                yield Word(tuple(prefix), self.states)
-                return
-            for s in self.successors(prev):
-                yield from rec(s, prefix + [s])
-        yield from rec(self.initial, [])
+        yield from _enumerate(self.states, n, self.initial,
+                              lambda i, prev: ((s, s) for s in self.successors(prev)))
 
     # -- serialization ---------------------------------------------------------
 
@@ -338,9 +332,11 @@ class DistanceCounts:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) == 0 or any(c < 0 for c in self.counts):
-            raise ValueError("counts must be a nonempty nonnegative vector")
+        message = "counts must be a nonempty nonnegative vector"
+        counts = tuple(_integer(c, message) for c in self.counts)
+        if len(counts) == 0:
+            raise ValueError(message)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n(self) -> int:
@@ -412,7 +408,7 @@ class _WordPlan:
         self._successors = successors
         self._initial = chain.initial
         self._states = chain.states
-        self._laws: dict[tuple[float, int], DistanceDistribution] = {}
+        self._laws: OrderedDict[tuple, DistanceDistribution] = OrderedDict()
         # (i, needed, state) -> (successors with completions, CDF over them)
         self._rows: dict[tuple[int, int, int], tuple] = {}
 
@@ -430,11 +426,14 @@ class _WordPlan:
         )
 
     def law(self, epsilon: float, k: int) -> DistanceDistribution:
-        """Output-distance law: each class size times ``exp(-eps*l/(2k))``."""
-        key = (epsilon, k)
-        dist = self._laws.get(key)
-        if dist is not None:
-            return dist
+        """Output-distance law: each class size times ``exp(-eps*l/(2k))``,
+        kept for the ``_ONLINE_POLICY_LIMIT`` most recent (epsilon, k)."""
+        return _cached(
+            self._laws, (epsilon, k), _ONLINE_POLICY_LIMIT,
+            lambda: self._law(epsilon, k),
+        )
+
+    def _law(self, epsilon: float, k: int) -> DistanceDistribution:
         counts = self.counts()
         support = counts.support()
         if support == (0,):
@@ -447,8 +446,7 @@ class _WordPlan:
         for l in support:
             # log of an exact integer count; safe for counts beyond float range
             log_sizes[l] = log(counts[l])
-        dist = self._laws[key] = _class_law(log_sizes, epsilon, k)
-        return dist
+        return _class_law(log_sizes, epsilon, k)
 
     def _row(
         self, i: int, needed: int, state: int
@@ -671,11 +669,11 @@ def privatize_markov_online_step(
     rng: np.random.Generator,
 ) -> int:
     """Release one state given the previously released one."""
-    m = policy.chain.n_states
-    if not 0 <= state < m:
-        raise ValueError(f"state index {state} out of range")
-    if not 0 <= previous_output < m:
-        raise ValueError(f"previous output index {previous_output} out of range")
+    last = policy.chain.n_states - 1
+    state = _integer(state, "state index {} out of range", high=last)
+    previous_output = _integer(
+        previous_output, "previous output index {} out of range", high=last
+    )
     return policy.sample(state, previous_output, rng)
 
 

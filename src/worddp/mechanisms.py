@@ -25,7 +25,7 @@ from math import exp, lgamma
 
 import numpy as np
 
-from worddp.core import _INTEGER, MechanismConfig, Word, _check_params
+from worddp.core import MechanismConfig, Word, _check_params, _integer
 
 __all__ = [
     "DistanceDistribution",
@@ -101,7 +101,10 @@ def _logsumexp(values) -> float:
 def _class_law(log_sizes: np.ndarray, epsilon: float, k: int) -> DistanceDistribution:
     """Distance law with mass proportional to ``size(l) * exp(-epsilon*l/(2k))``,
     from the log class sizes (``-inf`` for an empty class), in log space."""
-    log_weights = log_sizes - epsilon * np.arange(log_sizes.size) / (2.0 * k)
+    # At a huge finite epsilon the product overflows to inf, and the -inf
+    # weight it gives is the exact limit; every finite product is unchanged.
+    with np.errstate(over="ignore"):
+        log_weights = log_sizes - epsilon * np.arange(log_sizes.size) / (2.0 * k)
     probs = np.exp(log_weights - _logsumexp(log_weights))
     return DistanceDistribution(probs / probs.sum())
 
@@ -199,9 +202,9 @@ class OnlinePolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        size = self.alphabet_size
-        if not (isinstance(size, _INTEGER) and size >= 1):
-            raise ValueError("alphabet size must be an integer >= 1")
+        size = _integer(self.alphabet_size, "alphabet size must be an integer >= 1",
+                        low=1)
+        object.__setattr__(self, "alphabet_size", size)
 
     @property
     def substitution_probability(self) -> float:
@@ -212,8 +215,8 @@ class OnlinePolicy:
 
     def probabilities(self, symbol: int) -> np.ndarray:
         """Full conditional output row for a given input symbol."""
-        if not 0 <= symbol < self.alphabet_size:
-            raise ValueError(f"symbol {symbol} outside alphabet")
+        symbol = _integer(symbol, "symbol {} outside alphabet",
+                          high=self.alphabet_size - 1)
         row = np.full(self.alphabet_size, self.substitution_probability)
         row[symbol] = self.tau
         return row
@@ -240,8 +243,13 @@ def privatize_online_step(
     replacement, one integer draw selecting the substitute.
     """
     m = policy.alphabet_size
-    if not 0 <= symbol < m:
-        raise ValueError(f"symbol {symbol} outside alphabet of size {m}")
+    symbol = _integer(symbol, "symbol {} outside alphabet of size {}", m, high=m - 1)
+    return _online_step(symbol, policy, rng)
+
+
+def _online_step(symbol: int, policy: OnlinePolicy, rng: np.random.Generator) -> int:
+    """:func:`privatize_online_step` for a symbol already checked."""
+    m = policy.alphabet_size
     if m == 1 or rng.random() < policy.tau:
         return symbol
     offset = int(rng.integers(m - 1))
@@ -257,7 +265,6 @@ def privatize_online(
     if rng is None:
         rng = config.rng()
     policy = online_policy(len(word.alphabet), config.epsilon, config.k)
-    symbols = tuple(
-        privatize_online_step(s, policy, rng) for s in word.symbols
-    )
+    # a Word's symbols are already checked
+    symbols = tuple(_online_step(s, policy, rng) for s in word.symbols)
     return Word(symbols, word.alphabet)

@@ -19,7 +19,7 @@ import numpy as np
 
 from worddp.analytics import resolve_mode
 from worddp.automaton import _check_enumerable
-from worddp.core import Alphabet, MechanismConfig, Word, hamming_distance
+from worddp.core import Alphabet, MechanismConfig, Word, _integer, hamming_distance
 from worddp.markov import MarkovChain, MarkovOnlinePolicy, _WordPlan
 from worddp.mechanisms import (
     OnlinePolicy, _logsumexp, _match_probability, distance_distribution,
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _EXACT_N_LIMIT = 4
+_LENGTH_MESSAGE = "word length must be at least 1"
 _EXACT_M_LIMIT = 6
 # float64 entries per temporary in the pair scan: 2 MB, about 8 MB in all
 _SCAN_ELEMENTS = 1 << 18
@@ -72,8 +73,7 @@ class OutputDistribution:
 
 def all_words(alphabet: Alphabet, n: int) -> list[Word]:
     """Every word of length ``n``, in lexicographic symbol order."""
-    if n < 1:
-        raise ValueError("word length must be at least 1")
+    n = _integer(n, _LENGTH_MESSAGE, low=1)
     _check_enumerable(len(alphabet) ** n)
     return [
         Word(sym, alphabet)
@@ -264,6 +264,7 @@ def verify_dp(
     A mode ignores the arguments it does not use.
     """
     alphabet, chain, _ = resolve_mode(kind, alphabet, chain)
+    n = _integer(n, _LENGTH_MESSAGE, low=1)
     _check_exact_size(n, len(alphabet))
     if kind == "mc-offline":
         inputs = list(chain.feasible_words(n))

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -196,6 +197,19 @@ class TestEnumerationGuard:
         word = encode_word(["a", "b"], AB3)
         with pytest.raises(ValueError, match=REFUSAL):
             exponential_mechanism(word, [word] * (10**6 + 1), 1.0, 1)
+
+
+class TestEnumerationOrder:
+    def test_ascending_symbol_at_each_position(self):
+        for word_text, distance in (("a b c", 2), ("c a a b", 1), ("b b", 0)):
+            symbols = [w.symbols for w in auto(word_text, distance).iter_language()]
+            assert symbols == sorted(symbols)
+
+    def test_no_recursion_limit(self):
+        # the recursive enumerator raised RecursionError past about 1000 symbols
+        n = 2 * sys.getrecursionlimit()
+        word = Word((0,) * n, Alphabet(("a",)))
+        assert list(DistanceAutomaton(word, 0).iter_language()) == [word]
 
 
 class TestDotExport:

@@ -2,6 +2,7 @@ import copy
 import json
 import logging
 import random
+import sys
 import weakref
 from fractions import Fraction
 from math import comb, exp
@@ -258,6 +259,24 @@ class TestFeasibility:
         assert chain.count_feasible_words(5) == 1
         (only,) = chain.feasible_words(5)
         assert only.tokens() == ("b", "c", "a", "b", "c")
+
+    def test_no_recursion_limit(self):
+        # the recursive enumerators raised RecursionError past about 1000 symbols
+        chain, n = cycle_chain(), 2 * sys.getrecursionlimit()
+        (only,) = chain.feasible_words(n)
+        assert only.symbols == tuple((i + 1) % 3 for i in range(n))
+        assert list(ProductDistanceAutomaton(chain, only, 0).iter_language()) == [only]
+
+    def test_product_language_ascends(self, four_state_chain):
+        word = four_state_chain.word(["s1", "s2", "s3", "s3"])
+        for distance in range(5):
+            try:
+                automaton = ProductDistanceAutomaton(four_state_chain, word, distance)
+            except ValueError:  # no feasible word at this distance
+                continue
+            symbols = [w.symbols for w in automaton.iter_language()]
+            assert symbols == sorted(symbols)
+            assert len(symbols) == automaton.language_size
 
 
 class TestDistanceCounts:
@@ -564,6 +583,31 @@ class TestWordPlanCache:
             privatize_markov_offline(chain, walk(chain, rnd, 15), cfg, make_rng(0))
             privatize_markov_offline(chain, sentence, cfg, make_rng(0))
         assert chain._word_plans[sentence.symbols] is plan
+
+
+class TestWordPlanLaws:
+    def test_laws_bounded_under_distinct_budgets(self, storybook_chain, sample_tokens):
+        # a plan kept one law per epsilon it ever saw
+        chain = storybook_chain.with_initial("anywhere")
+        sentence = chain.word(sample_tokens)
+        epsilons = [0.01 * (i + 1) for i in range(5 * _ONLINE_POLICY_LIMIT)]
+        for eps in epsilons:
+            privatize_markov_offline(
+                chain, sentence, MechanismConfig(epsilon=eps, k=1), make_rng(0)
+            )
+            plan = chain._word_plans[sentence.symbols]
+            assert len(plan._laws) <= _ONLINE_POLICY_LIMIT
+        assert list(plan._laws) == [
+            (eps, 1) for eps in epsilons[-_ONLINE_POLICY_LIMIT:]
+        ]
+
+    def test_sweep_keeps_hitting(self, storybook_chain, sample_tokens):
+        chain = storybook_chain.with_initial("anywhere")
+        plan = _word_plan(chain, chain.word(sample_tokens))
+        grid = (0.01, 0.1, 1.0, 5.0, 10.0)
+        first = [plan.law(eps, 1) for eps in grid]
+        for _ in range(3):
+            assert all(plan.law(eps, 1) is law for eps, law in zip(grid, first))
 
 
 def step_reference(chain, word, reference, i, needed, state):
