@@ -96,6 +96,17 @@ class _DistanceLanguage:
                 "from the reference"
             )
 
+    def _grid(self, i: int, e: int, *symbols: int) -> tuple[int, ...]:
+        """A diagnostic call's position ``i``, mismatch count ``e`` and
+        symbols (or states), under the integer rule."""
+        n, m = self._n, len(self.word.alphabet)
+        return (
+            _integer(i, "position {} outside [0, {}]", n, high=n),
+            _integer(e, "mismatch count {} outside [0, {}]", n, high=n),
+            *(_integer(s, "symbol index {} is outside the alphabet (size {})",
+                       m, high=m - 1) for s in symbols),
+        )
+
     @property
     def language_size(self) -> int:
         """Number of accepted words."""
@@ -186,12 +197,14 @@ class DistanceAutomaton(_DistanceLanguage):
 
     def path_count(self, i: int, e: int) -> int:
         """Accepting paths below state ``(i, e)``; 0 for pruned states."""
+        i, e = self._grid(i, e)
         if e not in self._band(i):
             return 0
         return self._count(i, self.distance - e, None)
 
     def transition_probability(self, i: int, e: int, symbol: int) -> float:
         """Policy probability of emitting ``symbol`` from state ``(i, e)``."""
+        i, e, symbol = self._grid(i, e, symbol)
         if i >= self._n or e not in self._band(i):
             return 0.0
         p_match = _match_probability(self._n - i, self.distance - e)

@@ -79,7 +79,9 @@ class Alphabet:
             raise KeyError(f"token {token!r} is not in the alphabet") from None
 
     def token(self, index: int) -> str:
-        return self.tokens[index]
+        m = len(self.tokens)
+        return self.tokens[_integer(index, "symbol index {} is outside the "
+                                    "alphabet (size {})", m, high=m - 1)]
 
     def to_json(self) -> str:
         return json.dumps(list(self.tokens))
@@ -129,7 +131,8 @@ class Word:
         return iter(self.symbols)
 
     def tokens(self) -> tuple[str, ...]:
-        return tuple(self.alphabet.token(s) for s in self.symbols)
+        # the symbols passed the integer rule when the word was made
+        return tuple(map(self.alphabet.tokens.__getitem__, self.symbols))
 
     def text(self) -> str:
         return " ".join(self.tokens())

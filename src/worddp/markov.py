@@ -12,16 +12,21 @@ set: the whole-word sampler weights each distance class by the number of
 feasible words in it, and the per-symbol sampler redistributes mass over the
 successors of the previously released state.
 
-The whole-word sampler's plan belongs to one (chain, input word).  It holds
-a suffix-count table that packs each (position, state) row of exact counts
-into one Python int, with a slot width bounded by the chain's walk counts so
-that no slot overflows (no float or fixed-width integer enters the counts);
-the distance law per (epsilon, k); and the CDF rows of the walk to a uniform
-word at the drawn distance, keyed by position, mismatches still needed and
-state, so that every distance shares them.  A chain keeps the plans of a few
-recent input words.  The per-symbol sampler's plan depends on public data
-only: a chain keeps one policy per recent (epsilon, k), and a policy fills
-its CDF rows per previously released state.
+The whole-word sampler's plan belongs to one (chain, input word): a
+suffix-count table packing each (position, state) row of exact counts into
+one Python int, with a slot width bounded by the chain's walk counts so
+that no slot overflows; the distance law per (epsilon, k); and the walk's
+CDF rows, keyed by position, mismatches still needed and state, so that
+every distance shares them.  A chain keeps the plans of a few recent input
+words.  The per-symbol sampler's plan depends on public data only: a chain
+keeps one policy per recent (epsilon, k), which fills its CDF rows per
+previously released state.
+
+Both walks draw their n uniforms as one block, ``rng.random(n)``, which
+numpy defines to equal n scalar draws, generator state after included; so
+every seeded output equals the step-by-step one.  The free modes keep one
+scalar draw per symbol: a substitute's integer draw follows its uniform,
+so a block would change their seeded streams.
 """
 
 from __future__ import annotations
@@ -216,16 +221,11 @@ class MarkovChain:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        transitions = []
-        for i in range(self.n_states):
-            for j in self.successors(i):
-                transitions.append(
-                    {
-                        "from": self.states.token(i),
-                        "to": self.states.token(j),
-                        "p": float(self.matrix[i, j]),
-                    }
-                )
+        tokens = self.states.tokens
+        transitions = [
+            {"from": tokens[i], "to": tokens[j], "p": float(self.matrix[i, j])}
+            for i in range(self.n_states) for j in self.successors(i)
+        ]
         return {
             "states": list(self.states.tokens),
             "initial": self.initial_token,
@@ -464,18 +464,19 @@ class _WordPlan:
 
     def walk(self, distance: int, rng: np.random.Generator) -> Word:
         """Uniform draw from the feasible words at exactly ``distance``
-        from the input; one uniform per position."""
+        from the input; one uniform per position, drawn as one block."""
         rows = self._rows
         state = self._initial
         needed = distance
         symbols = []
-        for i, target in enumerate(self._symbols):
+        uniforms = rng.random(self._n).tolist()
+        for i, (target, u) in enumerate(zip(self._symbols, uniforms)):
             key = (i, needed, state)
             row = rows.get(key)
             if row is None:
                 row = rows[key] = self._row(i, needed, state)
             succs, cdf = row
-            state = succs[min(bisect_right(cdf, rng.random()), len(succs) - 1)]
+            state = succs[min(bisect_right(cdf, u), len(succs) - 1)]
             if state != target:
                 needed -= 1
             symbols.append(state)
@@ -527,10 +528,11 @@ class ProductDistanceAutomaton(_DistanceLanguage):
 
     def path_count(self, i: int, e: int, state: int) -> int:
         """Accepting paths below product state ``(i, e, state)``."""
+        i, e, state = self._grid(i, e, state)
         return self._count(i, self.distance - e, state)
 
     def sample(self, rng: np.random.Generator) -> Word:
-        """Uniform draw from the accepted language; one uniform per step."""
+        """Uniform draw from the accepted language: the release walk."""
         return self._plan.walk(self.distance, rng)
 
 
@@ -596,28 +598,28 @@ class MarkovOnlinePolicy:
         other = (1.0 - tau) / (n_succ - 1) if n_succ > 1 else 0.0
         return tau, other, 1.0 / n_succ
 
-    def probability(
-        self, output: int, true_state: int, previous_output: int
-    ) -> float:
+    def probability(self, output: int, true_state: int, previous_output: int) -> float:
         """Conditional probability of releasing ``output``."""
-        chain = self.chain
-        if not chain.can_follow(output, previous_output):
-            return 0.0
-        kept, other, unconditioned = self._masses(previous_output)
-        if chain.can_follow(true_state, previous_output):
-            return kept if output == true_state else other
-        return unconditioned
+        last = self.chain.n_states - 1
+        output = _integer(output, "output index {} out of range", high=last)
+        return float(self.probabilities(true_state, previous_output)[output])
 
     def probabilities(self, true_state: int, previous_output: int) -> np.ndarray:
         """Full conditional row over the state set."""
+        last = self.chain.n_states - 1
+        true_state = _integer(true_state, "state index {} out of range", high=last)
+        previous_output = _integer(
+            previous_output, "previous output index {} out of range", high=last)
+        kept, other, unconditioned = self._masses(previous_output)
         row = np.zeros(self.chain.n_states)
-        for s in self.chain.successors(previous_output):
-            row[s] = self.probability(s, true_state, previous_output)
+        reachable = self.chain.can_follow(true_state, previous_output)
+        row[list(self.chain.successors(previous_output))] = (
+            other if reachable else unconditioned)
+        if reachable:
+            row[true_state] = kept
         return row
 
-    def _rows(
-        self, previous_output: int
-    ) -> tuple[tuple[int, ...], list[list[float]]]:
+    def _rows(self, previous_output: int) -> tuple[tuple[int, ...], list[list[float]]]:
         """Successors of ``previous_output`` and the CDF row over them for
         each true state, built for every true state on the first call.
 
@@ -645,6 +647,18 @@ class MarkovOnlinePolicy:
         succs, rows = self._rows(previous_output)
         choice = bisect_right(rows[true_state], rng.random())
         return succs[min(choice, len(succs) - 1)]
+
+    def walk(self, symbols: Sequence[int], state: int,
+             rng: np.random.Generator) -> list[int]:
+        """:meth:`sample` on each of ``symbols`` in turn from the previous
+        output ``state``: the same states and generator state, one draw."""
+        table, fill = self._table, self._rows
+        released = []
+        for true_state, u in zip(symbols, rng.random(len(symbols)).tolist()):
+            succs, rows = table.get(state) or fill(state)
+            state = succs[min(bisect_right(rows[true_state], u), len(succs) - 1)]
+            released.append(state)
+        return released
 
 
 def markov_online_policy(
@@ -690,7 +704,8 @@ def privatize_markov_online(
     The starting point of the released path, ``initial_output``, is public;
     it defaults to the chain's initial state.  The input word itself need
     not be feasible: unreachable true states simply get no retention bonus.
-    Output equals stepping manually with the same generator.
+    Output, and the generator's state after, equal stepping manually with
+    the same generator; the walk draws its uniforms as one block.
     """
     if word.alphabet != chain.states:
         raise ValueError("word is not over this chain's state set")
@@ -700,10 +715,5 @@ def privatize_markov_online(
     prev = chain.initial
     if initial_output is not None:
         prev = chain._state_index(initial_output)
-    sample = policy.sample
-    symbols = []
-    for s in word.symbols:
-        prev = sample(s, prev, rng)
-        symbols.append(prev)
-    return Word(tuple(symbols), chain.states)
+    return Word(tuple(policy.walk(word.symbols, prev, rng)), chain.states)
 

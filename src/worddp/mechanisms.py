@@ -19,6 +19,7 @@ k)`` pass :func:`worddp.core._check_params`, the rule every module shares.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import exp, lgamma
@@ -57,11 +58,16 @@ class DistanceDistribution:
     def n(self) -> int:
         return self.probabilities.size - 1
 
+    def __iter__(self):
+        return iter(self.probabilities.tolist())
+
     def __getitem__(self, distance: int) -> float:
+        n = self.n
+        distance = _integer(distance, "distance {} outside [0, {}]", n, high=n)
         return float(self.probabilities[distance])
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
+    def _cdf(self) -> list[float]:
         # The rounded cumulative sum can end just below 1.  Raising it to 1
         # from the first index where it reaches its final value keeps every
         # uniform in range and leaves draws below the old total unchanged;
@@ -69,11 +75,13 @@ class DistanceDistribution:
         # A total just above 1 is left as it is, so no draw below it moves.
         cdf = self.probabilities.cumsum()
         cdf[cdf.searchsorted(cdf[-1]):] = max(cdf[-1], 1.0)
-        return cdf
+        # a list, so that one draw bisects it without numpy's per-call
+        # overhead, at the index searchsorted(side="right") would give
+        return cdf.tolist()
 
     def sample(self, rng: np.random.Generator) -> int:
         """Inverse-CDF draw; consumes exactly one uniform."""
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        return bisect_right(self._cdf, rng.random())
 
     def mean(self) -> float:
         return float(np.arange(self.n + 1) @ self.probabilities)

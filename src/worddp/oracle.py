@@ -94,7 +94,9 @@ def exponential_mechanism(
         raise ValueError("language must be nonempty")
     _check_enumerable(len(words))
     d = np.array([hamming_distance(word, w) for w in words], dtype=float)
-    log_w = -epsilon * d / (2.0 * k)
+    # as in ``_class_law``: an overflow gives the exact limit, weight -inf
+    with np.errstate(over="ignore"):
+        log_w = -epsilon * d / (2.0 * k)
     probs = np.exp(log_w - _logsumexp(log_w))
     return OutputDistribution(words, probs / probs.sum())
 
@@ -227,11 +229,8 @@ def _law_matrix(
         policy = (_FixedTauPolicy if break_tau else MarkovOnlinePolicy)(chain, eps, k)
         # table[previous output, true state, output]
         table = np.array(
-            [
-                policy.probability(o, t, q)
-                for q, t, o in itertools.product(range(m), repeat=3)
-            ]
-        ).reshape(m, m, m)
+            [[policy.probabilities(t, q) for t in range(m)] for q in range(m)]
+        )
         p = np.ones(distance.shape)
         prev = np.full(len(support), chain.initial)
         for i in range(n):

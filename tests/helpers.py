@@ -132,8 +132,9 @@ def loop_distance_counts(n: int, m: int, j: int) -> dict[tuple[int, int], int]:
 class TopUniformRng:
     """Generator stand-in whose every uniform is the largest float below 1."""
 
-    def random(self) -> float:
-        return float(np.nextafter(1.0, 0.0))
+    def random(self, size=None):
+        top = float(np.nextafter(1.0, 0.0))
+        return top if size is None else np.full(size, top)
 
     def integers(self, high: int) -> int:
         return 0

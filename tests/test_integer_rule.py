@@ -141,6 +141,45 @@ SITES = {
         lambda v: DistanceCounts((1, v)), 2,
         "counts must be a nonempty nonnegative vector", False,
     ),
+    # diagnostic methods; the release walks behind them check nothing
+    "MarkovOnlinePolicy.probabilities-true_state": (
+        lambda v: markov_online_policy(CHAIN, 1.0, 1).probabilities(v, 1), 2,
+        "state index {} out of range", False,
+    ),
+    "MarkovOnlinePolicy.probabilities-previous_output": (
+        lambda v: markov_online_policy(CHAIN, 1.0, 1).probabilities(2, v), 1,
+        "previous output index {} out of range", False,
+    ),
+    "MarkovOnlinePolicy.probability-output": (
+        lambda v: markov_online_policy(CHAIN, 1.0, 1).probability(v, 2, 1), 2,
+        "output index {} out of range", False,
+    ),
+    "DistanceAutomaton.path_count-i": (
+        lambda v: DistanceAutomaton(Word((0, 1, 2), AB3), 2).path_count(v, 0), 1,
+        "position {} outside [0, 3]", False,
+    ),
+    "DistanceAutomaton.path_count-e": (
+        lambda v: DistanceAutomaton(Word((0, 1, 2), AB3), 2).path_count(1, v), 1,
+        "mismatch count {} outside [0, 3]", False,
+    ),
+    "DistanceAutomaton.transition_probability-symbol": (
+        lambda v: DistanceAutomaton(Word((0, 1, 2), AB3), 2).transition_probability(
+            0, 0, v
+        ), 2,
+        "symbol index {} is outside the alphabet (size 3)", False,
+    ),
+    "ProductDistanceAutomaton.path_count-state": (
+        lambda v: ProductDistanceAutomaton(CHAIN, FEASIBLE, 1).path_count(0, 0, v), 2,
+        "symbol index {} is outside the alphabet (size 4)", False,
+    ),
+    "DistanceDistribution-getitem": (
+        lambda v: distance_distribution(3, 2, 1.0, 1)[v], 2,
+        "distance {} outside [0, 3]", False,
+    ),
+    "Alphabet.token": (
+        lambda v: AB3.token(v), 2,
+        "symbol index {} is outside the alphabet (size 3)", False,
+    ),
     "offline_concentration_bound-n": (
         lambda v: offline_concentration_bound(v, 0.2), 3,
         "word length n must be at least 1", False,
@@ -171,6 +210,34 @@ def test_non_integer_refused_with_the_site_message(site, value):
 def test_integers_accepted(site, kind):
     call, good, _, _ = SITES[site]
     call(kind(good))
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [
+        ("MarkovOnlinePolicy.probabilities-previous_output", -1),
+        ("MarkovOnlinePolicy.probabilities-previous_output", 4),
+        ("MarkovOnlinePolicy.probability-output", -1),
+        ("DistanceAutomaton.path_count-i", 4),
+        ("DistanceAutomaton.transition_probability-symbol", 3),
+        ("DistanceDistribution-getitem", -1),
+        ("Alphabet.token", -1),
+    ],
+)
+def test_diagnostic_index_out_of_range_refused(site, value):
+    # a negative index no longer reads from the end of a row or a tuple
+    call, _, message, _ = SITES[site]
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == message.format(value)
+
+
+def test_in_range_diagnostics_unchanged():
+    automaton = DistanceAutomaton(Word((0, 1, 2), AB3), 2)
+    assert automaton.path_count(0, 2) == 0  # pruned, not refused
+    # iteration stops at the end of the law, not at a refused index
+    dist = distance_distribution(3, 2, 1.0, 1)
+    assert list(dist) == dist.probabilities.tolist()
 
 
 def test_numpy_integers_become_int():

@@ -4,6 +4,7 @@ import logging
 import random
 import sys
 import weakref
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, exp
 from pathlib import Path
@@ -730,6 +731,27 @@ class TestMarkovOnlinePolicy:
                     if not four_state_chain.can_follow(s, prev):
                         assert row[s] == 0.0
 
+    @pytest.mark.parametrize("name", ["storybook", "four-state"])
+    def test_rows_follow_the_per_entry_rule(
+        self, name, storybook_chain, four_state_chain
+    ):
+        chain = {"storybook": storybook_chain, "four-state": four_state_chain}[name]
+        pol = MarkovOnlinePolicy(chain, 0.7, 1)
+        states = range(chain.n_states)
+        for prev in states:
+            kept, other, unconditioned = pol._masses(prev)
+            for true_state in states:
+                reachable = chain.can_follow(true_state, prev)
+                expected = [
+                    0.0 if not chain.can_follow(s, prev)
+                    else unconditioned if not reachable
+                    else kept if s == true_state else other
+                    for s in states
+                ]
+                assert pol.probabilities(true_state, prev).tolist() == expected
+                entries = [pol.probability(s, true_state, prev) for s in states]
+                assert entries == expected
+
     def test_reachable_true_state_kept_with_tau(self, four_state_chain):
         pol = markov_online_policy(four_state_chain, 1.0, 1)
         # s1 follows s0; from prev=s0 the true state s1 is reachable
@@ -828,6 +850,84 @@ class TestMarkovOnline:
         assert privatize_markov_online(
             four_state_chain, word, cfg
         ) == privatize_markov_online(four_state_chain, word, cfg)
+
+
+class TestStreamContract:
+    """Both chain modes draw a release's per-position uniforms in one
+    ``rng.random(n)`` call.  numpy defines that to return the doubles of n
+    scalar calls and to leave the generator where they leave it, so each
+    release equals its per-step replay on a cloned generator, generator
+    state included; the traced benchmark replays ``mc-online`` so."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, storybook_chain, sample_tokens):
+        chain = storybook_chain.with_initial("anywhere")
+        rnd = random.Random(14)
+        cases = []
+        for n in (15, 60):
+            feasible = chain.word(sample_tokens) if n == 15 else walk(chain, rnd, n)
+            symbols = list(feasible.symbols)
+            # a state that cannot follow its predecessor
+            symbols[n // 2] = next(
+                s for s in range(chain.n_states)
+                if not chain.can_follow(s, symbols[n // 2 - 1])
+            )
+            infeasible = Word(tuple(symbols), chain.states)
+            assert chain.is_feasible(feasible) and not chain.is_feasible(infeasible)
+            cases += [(feasible, True), (infeasible, False)]
+        return chain, cases
+
+    @staticmethod
+    def after_scalar_draws(rng, count):
+        twin = copy.deepcopy(rng)
+        for _ in range(count):
+            twin.random()
+        return twin.bit_generator.state
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 10.0])
+    def test_online_equals_stepping_on_a_clone(self, inputs, eps):
+        chain, cases = inputs
+        cfg = MechanismConfig(epsilon=eps, k=1)
+        policy = markov_online_policy(chain, eps, 1)
+        for seed, (word, _) in enumerate(cases):
+            rng = make_rng(seed)
+            clone = copy.deepcopy(rng)
+            expected_state = self.after_scalar_draws(rng, len(word))
+            out = privatize_markov_online(chain, word, cfg, rng=rng)
+            prev, stepped = chain.initial, []
+            for s in word.symbols:
+                prev = privatize_markov_online_step(s, prev, policy, clone)
+                stepped.append(prev)
+            assert out.symbols == tuple(stepped)
+            assert rng.bit_generator.state == expected_state
+            assert clone.bit_generator.state == expected_state
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 10.0])
+    def test_offline_draws_n_plus_one_uniforms(self, inputs, eps):
+        chain, cases = inputs
+        cfg = MechanismConfig(epsilon=eps, k=1)
+        for seed, (word, feasible) in enumerate(cases):
+            rng = make_rng(seed)
+            clone = copy.deepcopy(rng)
+            if not feasible:  # refused before any draw
+                with pytest.raises(InfeasibleWordError):
+                    privatize_markov_offline(chain, word, cfg, rng=rng)
+                assert rng.bit_generator.state == clone.bit_generator.state
+                continue
+            expected_state = self.after_scalar_draws(rng, len(word) + 1)
+            out = privatize_markov_offline(chain, word, cfg, rng=rng)
+            assert rng.bit_generator.state == expected_state
+            # the walk step by step, one scalar uniform per position
+            plan = _word_plan(chain, word)
+            needed = plan.law(eps, 1).sample(clone)
+            state, stepped = chain.initial, []
+            for i, target in enumerate(word.symbols):
+                succs, cdf = plan._row(i, needed, state)
+                state = succs[min(bisect_right(cdf, clone.random()), len(succs) - 1)]
+                needed -= state != target
+                stepped.append(state)
+            assert out.symbols == tuple(stepped)
+            assert clone.bit_generator.state == expected_state
 
 
 class TestMarkovOnlineTable:

@@ -534,6 +534,12 @@ class TestHugeFiniteEpsilon:
         assert privatize_markov_offline(chain, feasible, cfg) == feasible
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reference_law_is_the_point_mass(self):
+        word = Word((0, 1), AB2)
+        law = exponential_mechanism(word, all_words(AB2, 2), self.EPS, 1)
+        assert law.prob_of(word) == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["offline", "mc-offline"])
     def test_verify_runs(self, kind, four_state_chain):
         cfg = MechanismConfig(epsilon=self.EPS, k=1, seed=0)
