@@ -134,18 +134,17 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """
     alphabet, chain, _ = resolve_mode(spec.mechanism, spec.alphabet, spec.chain)
     word = encode_word(spec.input_tokens, alphabet)
-    states, starts = ("",), {"": None}  # a free mode's one start
+    states = ("",)  # a free mode's one start
     if chain is not None:
-        # one chain per start, so that its plans serve every epsilon
         states = spec.initial_states or (chain.initial_token,)
-        starts = {state: chain.with_initial(state) for state in states}
 
     cells = [(eps, st) for eps in spec.epsilon_grid for st in states]
     streams = split_rngs(spec.seed, len(cells))
     rows = []
     for (eps, state), rng in zip(cells, streams):
         config = MechanismConfig(epsilon=eps, k=spec.k, seed=spec.seed)
-        start = starts[state]
+        # every start shares the chain's plans, so each serves every epsilon
+        start = None if chain is None else chain.with_initial(state)
         _, _, release = resolve_mode(spec.mechanism, alphabet, start)
         distances = np.array([hamming_distance(word, release(word, config, rng=rng))
                               for _ in range(spec.samples)], dtype=float)

@@ -15,12 +15,14 @@ successors of the previously released state.
 The whole-word sampler's plan belongs to one (chain, input word): a
 suffix-count table packing each (position, state) row of exact counts into
 one Python int, with a slot width bounded by the chain's walk counts so
-that no slot overflows; the distance law per (epsilon, k); and the walk's
-CDF rows, keyed by position, mismatches still needed and state, so that
-every distance shares them.  A chain keeps the plans of a few recent input
-words.  The per-symbol sampler's plan depends on public data only: a chain
-keeps one policy per recent (epsilon, k), which fills its CDF rows per
-previously released state.
+that no slot overflows; the distance law per (start, epsilon, k); and the
+walk's CDF rows, keyed by position, mismatches still needed and state, so
+that every start and distance shares them.  A chain keeps the plans of a
+few recent input words.  The per-symbol sampler's plan depends on public
+data only: a chain keeps one policy per recent (epsilon, k), which fills
+its CDF rows per previously released state.  A start is a parameter of
+the chain, not a copy of it: every :meth:`MarkovChain.with_initial` of a
+chain shares its structure and these caches.
 
 Both walks draw their n uniforms as one block, ``rng.random(n)``, which
 numpy defines to equal n scalar draws, generator state after included; so
@@ -31,6 +33,7 @@ so a block would change their seeded streams.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import string
@@ -68,14 +71,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _ROW_SUM_TOL = 1e-9
-# Input words whose ``mc-offline`` plans a chain keeps.  One plan's suffix
-# table takes about 1.3 MB at n = 60 and 45 MB at n = 200 on the 50-state
-# storybook chain, so memory stays bounded under fresh inputs, while a word
-# released again and again (a repeated release, an experiment sweep) keeps
-# hitting.
+# Input words whose ``mc-offline`` plans a chain keeps, for all its starts.
+# One plan's suffix table takes about 1.3 MB at n = 60 and 45 MB at n = 200
+# on the 50-state storybook chain, so memory stays bounded under fresh
+# inputs, while a word released again and again (a repeated release, an
+# experiment sweep) keeps hitting.
 _WORD_PLAN_LIMIT = 4
-# (epsilon, k) pairs a chain keeps an ``mc-online`` policy for, and a word
-# plan an ``mc-offline`` distance law for.
+# (epsilon, k) pairs a chain keeps an ``mc-online`` policy for, and
+# (start, epsilon, k) triples a word plan keeps an ``mc-offline`` law for.
 _ONLINE_POLICY_LIMIT = 8
 
 
@@ -96,7 +99,8 @@ class MarkovChain:
     """Finite-state chain over named states with a designated initial state.
 
     The transition matrix is row-stochastic, which guarantees every state
-    has at least one successor.
+    has at least one successor.  The constructor makes a new structure
+    with empty plan caches; :meth:`with_initial` shares them.
     """
 
     def __init__(
@@ -147,22 +151,29 @@ class MarkovChain:
 
     def successors(self, state: int) -> tuple[int, ...]:
         """Indices with positive transition probability, ascending."""
-        return self._successors[state]
+        return self._successors[self._index(state)]
 
     def n_successors(self, state: int) -> int:
-        return len(self._successors[state])
+        return len(self._successors[self._index(state)])
 
     def can_follow(self, state: int, previous: int) -> bool:
-        return state in self._successor_sets[previous]
+        return self._index(state) in self._successor_sets[self._index(previous)]
+
+    def _index(self, state: int) -> int:
+        return _integer(state, "state index {} out of range", high=self.n_states - 1)
 
     def _state_index(self, state: int | str) -> int:
         """Index of ``state``, given by name or by index."""
         if isinstance(state, str):
             return self.states.index(state)
-        return _integer(state, "state index {} out of range", high=self.n_states - 1)
+        return self._index(state)
 
     def with_initial(self, initial: int | str) -> "MarkovChain":
-        return MarkovChain(self.states, self.matrix, initial)
+        """This chain started at ``initial``: it shares the structure and
+        the plan caches, and only the new start is checked."""
+        moved = copy.copy(self)
+        moved.initial = self._state_index(initial)
+        return moved
 
     def word(self, tokens: Sequence[str]) -> Word:
         return encode_word(tokens, self.states)
@@ -179,9 +190,9 @@ class MarkovChain:
         """
         if word.alphabet != self.states:
             raise ValueError("word is not over this chain's state set")
-        prev = self.initial
+        prev, follows = self.initial, self._successor_sets
         for pos, sym in enumerate(word.symbols):
-            if not self.can_follow(sym, prev):
+            if sym not in follows[prev]:
                 return (pos, self.states.token(prev), self.states.token(sym))
             prev = sym
         return None
@@ -343,7 +354,10 @@ class DistanceCounts:
         return len(self.counts) - 1
 
     def __getitem__(self, distance: int) -> int:
-        return self.counts[distance]
+        return self.counts[_integer(distance, "distance {} out of range", high=self.n)]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.counts)
 
     def total(self) -> int:
         return sum(self.counts)
@@ -367,11 +381,12 @@ def _cached(cache: OrderedDict, key, limit: int, build):
 
 
 class _WordPlan:
-    """Everything ``mc-offline`` computes for one (chain, input word): the
-    packed suffix table, the distance law per (epsilon, k), and the CDF
-    rows of the uniform walk.  A step's successor weights depend only on
-    the position ``i``, the mismatches still ``needed`` and the state, so
-    one row keyed by ``(i, needed, state)`` serves every target distance.
+    """Everything ``mc-offline`` computes for one (chain structure, input
+    word): the packed suffix table, the distance law per (start, epsilon,
+    k), and the CDF rows of the uniform walk.  A step's successor weights
+    depend only on the position ``i``, the mismatches still ``needed`` and
+    the state, so one row keyed by ``(i, needed, state)`` serves every
+    start and every target distance.
 
     ``table[i][s]`` packs the feasible completions from position ``i`` in
     state ``s`` into one Python int: slot ``q`` (bits ``q*B`` up to
@@ -406,7 +421,6 @@ class _WordPlan:
         self._n = len(word)
         self._symbols = word.symbols
         self._successors = successors
-        self._initial = chain.initial
         self._states = chain.states
         self._laws: OrderedDict[tuple, DistanceDistribution] = OrderedDict()
         # (i, needed, state) -> (successors with completions, CDF over them)
@@ -420,21 +434,23 @@ class _WordPlan:
         slot = self._n - i - needed
         return (self._table[i][state] >> (slot * self._width)) & self._mask
 
-    def counts(self) -> DistanceCounts:
+    def counts(self, start: int) -> DistanceCounts:
+        """Feasible words after ``start`` at each distance from the word."""
         return DistanceCounts(
-            tuple(self.count(0, r, self._initial) for r in range(self._n + 1))
+            tuple(self.count(0, r, start) for r in range(self._n + 1))
         )
 
-    def law(self, epsilon: float, k: int) -> DistanceDistribution:
-        """Output-distance law: each class size times ``exp(-eps*l/(2k))``,
-        kept for the ``_ONLINE_POLICY_LIMIT`` most recent (epsilon, k)."""
+    def law(self, start: int, epsilon: float, k: int) -> DistanceDistribution:
+        """Output-distance law after ``start``: each class size times
+        ``exp(-eps*l/(2k))``, kept for the ``_ONLINE_POLICY_LIMIT`` most
+        recent (start, epsilon, k)."""
         return _cached(
-            self._laws, (epsilon, k), _ONLINE_POLICY_LIMIT,
-            lambda: self._law(epsilon, k),
+            self._laws, (start, epsilon, k), _ONLINE_POLICY_LIMIT,
+            lambda: self._law(start, epsilon, k),
         )
 
-    def _law(self, epsilon: float, k: int) -> DistanceDistribution:
-        counts = self.counts()
+    def _law(self, start: int, epsilon: float, k: int) -> DistanceDistribution:
+        counts = self.counts(start)
         support = counts.support()
         if support == (0,):
             logger.warning(
@@ -445,7 +461,7 @@ class _WordPlan:
         log_sizes = np.full(counts.n + 1, -np.inf)
         for l in support:
             # log of an exact integer count; safe for counts beyond float range
-            log_sizes[l] = log(counts[l])
+            log_sizes[l] = log(counts.counts[l])
         return _class_law(log_sizes, epsilon, k)
 
     def _row(
@@ -462,11 +478,12 @@ class _WordPlan:
                 weights.append(w / here)
         return tuple(succs), list(accumulate(weights))
 
-    def walk(self, distance: int, rng: np.random.Generator) -> Word:
-        """Uniform draw from the feasible words at exactly ``distance``
-        from the input; one uniform per position, drawn as one block."""
+    def walk(self, start: int, distance: int, rng: np.random.Generator) -> Word:
+        """Uniform draw from the feasible words after ``start`` at exactly
+        ``distance`` from the input; one uniform per position, drawn as one
+        block."""
         rows = self._rows
-        state = self._initial
+        state = start
         needed = distance
         symbols = []
         uniforms = rng.random(self._n).tolist()
@@ -487,7 +504,7 @@ def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
     """The chain's ``mc-offline`` plan for ``word``, built on first use.
 
     A chain keeps the plans of its ``_WORD_PLAN_LIMIT`` most recently used
-    input words.
+    input words, which every start of the chain shares.
     """
     if word.alphabet != chain.states:
         raise ValueError("word is not over this chain's state set")
@@ -503,7 +520,7 @@ def feasible_distance_counts(chain: MarkovChain, word: Word) -> DistanceCounts:
     One dynamic program over (position, state) pairs yields the whole
     distance profile; counts are exact integers.
     """
-    return _word_plan(chain, word).counts()
+    return _word_plan(chain, word).counts(chain.initial)
 
 
 class ProductDistanceAutomaton(_DistanceLanguage):
@@ -533,7 +550,7 @@ class ProductDistanceAutomaton(_DistanceLanguage):
 
     def sample(self, rng: np.random.Generator) -> Word:
         """Uniform draw from the accepted language: the release walk."""
-        return self._plan.walk(self.distance, rng)
+        return self._plan.walk(self._start, self.distance, rng)
 
 
 def privatize_markov_offline(
@@ -553,7 +570,8 @@ def privatize_markov_offline(
     if rng is None:
         rng = config.rng()
     plan = _word_plan(chain, word)
-    return plan.walk(plan.law(config.epsilon, config.k).sample(rng), rng)
+    start = chain.initial
+    return plan.walk(start, plan.law(start, config.epsilon, config.k).sample(rng), rng)
 
 
 # -- per-symbol mechanism ------------------------------------------------------
@@ -640,18 +658,10 @@ class MarkovOnlinePolicy:
         entry = self._table[previous_output] = (succs, rows)
         return entry
 
-    def sample(
-        self, true_state: int, previous_output: int, rng: np.random.Generator
-    ) -> int:
-        """Draw the released state; consumes exactly one uniform."""
-        succs, rows = self._rows(previous_output)
-        choice = bisect_right(rows[true_state], rng.random())
-        return succs[min(choice, len(succs) - 1)]
-
     def walk(self, symbols: Sequence[int], state: int,
              rng: np.random.Generator) -> list[int]:
-        """:meth:`sample` on each of ``symbols`` in turn from the previous
-        output ``state``: the same states and generator state, one draw."""
+        """Release each of ``symbols`` in turn from the previous output
+        ``state``, one uniform per symbol, drawn as one block."""
         table, fill = self._table, self._rows
         released = []
         for true_state, u in zip(symbols, rng.random(len(symbols)).tolist()):
@@ -682,13 +692,14 @@ def privatize_markov_online_step(
     policy: MarkovOnlinePolicy,
     rng: np.random.Generator,
 ) -> int:
-    """Release one state given the previously released one."""
+    """Release one state given the previously released one; consumes
+    exactly one uniform."""
     last = policy.chain.n_states - 1
     state = _integer(state, "state index {} out of range", high=last)
     previous_output = _integer(
         previous_output, "previous output index {} out of range", high=last
     )
-    return policy.sample(state, previous_output, rng)
+    return policy.walk((state,), previous_output, rng)[0]
 
 
 def privatize_markov_online(

@@ -218,7 +218,7 @@ def _law_matrix(
             chain.require_feasible(word)
             # not through the chain's cache, which would evict its release plans
             plan = _WordPlan(chain, word)
-            dist, counts = plan.law(eps, k), plan.counts()
+            dist, counts = plan.law(chain.initial, eps, k), plan.counts(chain.initial)
             # step ratios telescope: dist[d] splits evenly over the counts[d] words
             by_distance.append(
                 [dist[d] * (1 / counts[d]) if counts[d] else 0.0 for d in range(n + 1)]

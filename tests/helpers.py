@@ -190,8 +190,8 @@ def _loop_markov_offline_law(chain, word: Word, config) -> OutputDistribution:
     _check_exact_size(n, chain.n_states)
     chain.require_feasible(word)
     plan = _word_plan(chain, word)
-    dist = plan.law(config.epsilon, config.k)
-    counts = plan.counts()
+    dist = plan.law(chain.initial, config.epsilon, config.k)
+    counts = plan.counts(chain.initial)
     support = tuple(chain.feasible_words(n))
     vec = []
     for w in support:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from worddp import (
     Alphabet,
     DistanceCounts,
+    MarkovChain,
     MarkovOnlinePolicy,
     MechanismConfig,
     Word,
@@ -307,14 +308,16 @@ class TestParameterRule:
     )
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     def test_rejected(self, four_state_chain, entry, epsilon, k):
-        chain = four_state_chain.with_initial("s0")  # its own policy cache
+        # a new chain structure, with its own policy cache
+        chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
         with pytest.raises(ValueError, match="epsilon|adjacency level"):
             ENTRY_POINTS[entry](chain, epsilon, k)
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     def test_edges_accepted(self, four_state_chain, entry):
         # epsilon = 0 is maximal noise; an integral float k is an integer
-        ENTRY_POINTS[entry](four_state_chain.with_initial("s0"), 0.0, 2.0)
+        chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
+        ENTRY_POINTS[entry](chain, 0.0, 2.0)
 
     @pytest.mark.parametrize(
         "value",

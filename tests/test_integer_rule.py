@@ -141,6 +141,26 @@ SITES = {
         lambda v: DistanceCounts((1, v)), 2,
         "counts must be a nonempty nonnegative vector", False,
     ),
+    "MarkovChain.successors": (
+        lambda v: CHAIN.successors(v), 2, "state index {} out of range", False,
+    ),
+    "MarkovChain.n_successors": (
+        lambda v: CHAIN.n_successors(v), 2, "state index {} out of range", False,
+    ),
+    "MarkovChain.can_follow-state": (
+        lambda v: CHAIN.can_follow(v, 1), 2, "state index {} out of range", False,
+    ),
+    "MarkovChain.can_follow-previous": (
+        lambda v: CHAIN.can_follow(2, v), 1, "state index {} out of range", False,
+    ),
+    "MarkovOnlinePolicy.tau": (
+        lambda v: markov_online_policy(CHAIN, 1.0, 1).tau(v), 1,
+        "state index {} out of range", False,
+    ),
+    "DistanceCounts-getitem": (
+        lambda v: DistanceCounts((1, 3, 3, 1))[v], 2,
+        "distance {} out of range", False,
+    ),
     # diagnostic methods; the release walks behind them check nothing
     "MarkovOnlinePolicy.probabilities-true_state": (
         lambda v: markov_online_policy(CHAIN, 1.0, 1).probabilities(v, 1), 2,
@@ -222,6 +242,13 @@ def test_integers_accepted(site, kind):
         ("DistanceAutomaton.transition_probability-symbol", 3),
         ("DistanceDistribution-getitem", -1),
         ("Alphabet.token", -1),
+        ("MarkovChain.successors", -1),
+        ("MarkovChain.n_successors", 4),
+        ("MarkovChain.can_follow-state", -1),
+        ("MarkovChain.can_follow-previous", 4),
+        ("MarkovOnlinePolicy.tau", -1),
+        ("DistanceCounts-getitem", -1),
+        ("DistanceCounts-getitem", 4),
     ],
 )
 def test_diagnostic_index_out_of_range_refused(site, value):
@@ -238,6 +265,7 @@ def test_in_range_diagnostics_unchanged():
     # iteration stops at the end of the law, not at a refused index
     dist = distance_distribution(3, 2, 1.0, 1)
     assert list(dist) == dist.probabilities.tolist()
+    assert list(DistanceCounts((1, 3, 3, 1))) == [1, 3, 3, 1]
 
 
 def test_numpy_integers_become_int():

@@ -33,6 +33,7 @@ from worddp import (
     tokenize,
 )
 from worddp import markov
+from worddp.cli import ExperimentSpec, run_experiment
 from worddp.markov import _ONLINE_POLICY_LIMIT, _WORD_PLAN_LIMIT, MarkovOnlinePolicy
 from worddp.markov import _word_plan
 from helpers import (
@@ -599,16 +600,17 @@ class TestWordPlanLaws:
             plan = chain._word_plans[sentence.symbols]
             assert len(plan._laws) <= _ONLINE_POLICY_LIMIT
         assert list(plan._laws) == [
-            (eps, 1) for eps in epsilons[-_ONLINE_POLICY_LIMIT:]
+            (chain.initial, eps, 1) for eps in epsilons[-_ONLINE_POLICY_LIMIT:]
         ]
 
     def test_sweep_keeps_hitting(self, storybook_chain, sample_tokens):
         chain = storybook_chain.with_initial("anywhere")
         plan = _word_plan(chain, chain.word(sample_tokens))
         grid = (0.01, 0.1, 1.0, 5.0, 10.0)
-        first = [plan.law(eps, 1) for eps in grid]
+        start = chain.initial
+        first = [plan.law(start, eps, 1) for eps in grid]
         for _ in range(3):
-            assert all(plan.law(eps, 1) is law for eps, law in zip(grid, first))
+            assert all(plan.law(start, eps, 1) is law for eps, law in zip(grid, first))
 
 
 def step_reference(chain, word, reference, i, needed, state):
@@ -665,7 +667,8 @@ class TestWordPlan:
         ]
         assert len(words) == 50
         for word in words:
-            chain = four_state_chain.with_initial("s0")  # empty caches
+            # a new chain structure, so its plan cache is empty
+            chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
             self.check_rows(chain, word)
 
     @pytest.mark.parametrize("name", ["storybook", "four-state"])
@@ -711,6 +714,89 @@ class TestWordPlan:
         assert len(alive_at_build) == 30
         assert max(alive_at_build) == _WORD_PLAN_LIMIT - 1
         assert len(live) == _WORD_PLAN_LIMIT
+
+
+class TestSharedStructure:
+    """Every start of a chain shares its structure and its plans, and
+    releases as an independently constructed chain with that start."""
+
+    def test_with_initial_shares_the_structure(self, four_state_chain):
+        chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
+        moved = chain.with_initial("s2")
+        assert (moved.initial, chain.initial) == (2, 0)
+        for name in ("states", "matrix", "_successors", "_successor_sets",
+                     "_word_plans", "_online_policies"):
+            assert getattr(moved, name) is getattr(chain, name), name
+        fresh = MarkovChain(chain.states, chain.matrix, "s2")
+        assert fresh._word_plans is not chain._word_plans
+        assert fresh._online_policies is not chain._online_policies
+        word = chain.word(["s1", "s2"])
+        feasible_distance_counts(moved, word)
+        markov_online_policy(moved, 1.0, 1)
+        assert list(chain._word_plans) == [word.symbols]
+        assert list(chain._online_policies) == [(1.0, 1)]
+        assert not fresh._word_plans and not fresh._online_policies
+
+    def test_experiment_builds_one_plan_for_three_starts(
+        self, four_state_chain, monkeypatch
+    ):
+        built = []
+
+        class CountingPlan(markov._WordPlan):
+            def __init__(self, chain, word):
+                built.append(word.symbols)
+                super().__init__(chain, word)
+
+        monkeypatch.setattr(markov, "_WordPlan", CountingPlan)
+        chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
+        starts = ("s0", "s1", "s2")  # s1 may follow each of them
+        tokens = ("s1", "s2", "s1", "s2")
+        word = chain.word(tokens)
+        assert all(chain.with_initial(s).is_feasible(word) for s in starts)
+        rows = run_experiment(ExperimentSpec(
+            mechanism="mc-offline", epsilon_grid=(0.5, 1.0, 5.0), k=1, samples=20,
+            input_tokens=tokens, seed=0, chain=chain, initial_states=starts,
+        ))
+        assert [row["initial_state"] for row in rows] == list(starts) * 3
+        assert built == [word.symbols]
+
+    @pytest.mark.parametrize("name", ["four-state", "storybook"])
+    def test_interleaved_starts_equal_independent_chains(
+        self, name, four_state_chain, storybook_chain, sample_tokens
+    ):
+        base = {"four-state": four_state_chain, "storybook": storybook_chain}[name]
+        starts = {
+            "four-state": base.states.tokens,
+            "storybook": ("anywhere", "green", "could"),
+        }[name]
+        source = MarkovChain(base.states, base.matrix)
+        shared = {s: source.with_initial(s) for s in starts}
+        alone = {s: MarkovChain(base.states, base.matrix, s) for s in starts}
+        rnd = random.Random(16)
+        # one word feasible from each start, and the storybook sentence
+        words = [walk(alone[s], rnd, 6) for s in starts]
+        if name == "storybook":
+            words.append(base.word(sample_tokens))
+        for s in starts:
+            for word in words:
+                assert (feasible_distance_counts(shared[s], word)
+                        == feasible_distance_counts(alone[s], word))
+        # some word's plan serves mc-offline releases from two starts
+        assert any(sum(alone[s].is_feasible(w) for s in starts) > 1 for w in words)
+        seed = 0
+        for eps in (0.0, 1.0, 10.0):
+            cfg = MechanismConfig(epsilon=eps, k=1)
+            for word in words:
+                for s in starts:
+                    releases = [privatize_markov_online]
+                    if alone[s].is_feasible(word):
+                        releases.append(privatize_markov_offline)
+                    for release in releases:
+                        seed += 1
+                        rng, twin = make_rng(seed), make_rng(seed)
+                        out = release(shared[s], word, cfg, rng=rng)
+                        assert out == release(alone[s], word, cfg, rng=twin)
+                        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestMarkovOnlinePolicy:
@@ -919,7 +1005,7 @@ class TestStreamContract:
             assert rng.bit_generator.state == expected_state
             # the walk step by step, one scalar uniform per position
             plan = _word_plan(chain, word)
-            needed = plan.law(eps, 1).sample(clone)
+            needed = plan.law(chain.initial, eps, 1).sample(clone)
             state, stepped = chain.initial, []
             for i, target in enumerate(word.symbols):
                 succs, cdf = plan._row(i, needed, state)
@@ -976,7 +1062,10 @@ class TestMarkovOnlineTable:
     ):
         rnd = random.Random(9)
         for seed in range(5):
-            chain = storybook_chain.with_initial("anywhere")  # empty caches
+            # a new chain structure, so its policy cache is empty
+            chain = MarkovChain(
+                storybook_chain.states, storybook_chain.matrix, "anywhere"
+            )
             start = rnd.randrange(chain.n_states)
             word = chain.word(sample_tokens) if seed == 0 else walk(chain, rnd, 20)
             cfg = MechanismConfig(epsilon=1.0, k=1)
