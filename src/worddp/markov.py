@@ -17,8 +17,8 @@ suffix-count table packing each (position, state) row of exact counts into
 one Python int, with a slot width bounded by the chain's walk counts so
 that no slot overflows; the distance law per (start, epsilon, k); and the
 walk's CDF rows, keyed by position, mismatches still needed and state, so
-that every start and distance shares them.  A chain keeps the plans of a
-few recent input words.  The per-symbol sampler's plan depends on public
+that every start and distance shares them.  A chain keeps the plan of
+the last input word only.  The per-symbol sampler's plan depends on public
 data only: a chain keeps one policy per recent (epsilon, k), which fills
 its CDF rows per previously released state.  A start is a parameter of
 the chain, not a copy of it: every :meth:`MarkovChain.with_initial` of a
@@ -71,12 +71,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _ROW_SUM_TOL = 1e-9
-# Input words whose ``mc-offline`` plans a chain keeps, for all its starts.
-# One plan's suffix table takes about 1.3 MB at n = 60 and 45 MB at n = 200
-# on the 50-state storybook chain, so memory stays bounded under fresh
-# inputs, while a word released again and again (a repeated release, an
-# experiment sweep) keeps hitting.
-_WORD_PLAN_LIMIT = 4
 # (epsilon, k) pairs a chain keeps an ``mc-online`` policy for, and
 # (start, epsilon, k) triples a word plan keeps an ``mc-offline`` law for.
 _ONLINE_POLICY_LIMIT = 8
@@ -134,7 +128,8 @@ class MarkovChain:
             tuple(int(j) for j in np.flatnonzero(mat[i] > 0)) for i in range(m)
         ]
         self._successor_sets = [frozenset(s) for s in self._successors]
-        self._word_plans: OrderedDict[tuple[int, ...], _WordPlan] = OrderedDict()
+        # the last input word's mc-offline plan, shared by every start
+        self._word_plans: dict[tuple[int, ...], _WordPlan] = {}
         self._online_policies: OrderedDict[
             tuple[float, int], "MarkovOnlinePolicy"
         ] = OrderedDict()
@@ -366,17 +361,18 @@ class DistanceCounts:
         return tuple(l for l, c in enumerate(self.counts) if c > 0)
 
 
-def _cached(cache: OrderedDict, key, limit: int, build):
-    """``cache[key]`` from an LRU cache of ``limit`` entries, calling
-    ``build()`` on a miss.  It evicts before it builds, so no more than
-    ``limit`` entries are alive even while a new one is built."""
+def _cached(cache: OrderedDict, key, build):
+    """``cache[key]`` from an LRU cache of ``_ONLINE_POLICY_LIMIT`` small
+    entries (policies and laws), calling ``build()`` on a miss.  It evicts
+    only after ``build()`` returns, so a refused build leaves the cache as
+    it was."""
     hit = cache.get(key)
     if hit is not None:
         cache.move_to_end(key)
         return hit
-    if len(cache) >= limit:
-        cache.popitem(last=False)
     value = cache[key] = build()
+    if len(cache) > _ONLINE_POLICY_LIMIT:
+        cache.popitem(last=False)
     return value
 
 
@@ -444,12 +440,11 @@ class _WordPlan:
         """Output-distance law after ``start``: each class size times
         ``exp(-eps*l/(2k))``, kept for the ``_ONLINE_POLICY_LIMIT`` most
         recent (start, epsilon, k)."""
-        return _cached(
-            self._laws, (start, epsilon, k), _ONLINE_POLICY_LIMIT,
-            lambda: self._law(start, epsilon, k),
-        )
+        return _cached(self._laws, (start, epsilon, k),
+                       lambda: self._law(start, epsilon, k))
 
     def _law(self, start: int, epsilon: float, k: int) -> DistanceDistribution:
+        _check_params(epsilon, k)
         counts = self.counts(start)
         support = counts.support()
         if support == (0,):
@@ -503,15 +498,18 @@ class _WordPlan:
 def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
     """The chain's ``mc-offline`` plan for ``word``, built on first use.
 
-    A chain keeps the plans of its ``_WORD_PLAN_LIMIT`` most recently used
-    input words, which every start of the chain shares.
+    A chain keeps one plan, the last input word's, which every start of
+    the chain shares.  Another word clears it before its own plan is
+    built, so at most one suffix table per chain structure is alive.
     """
     if word.alphabet != chain.states:
         raise ValueError("word is not over this chain's state set")
-    return _cached(
-        chain._word_plans, word.symbols, _WORD_PLAN_LIMIT,
-        lambda: _WordPlan(chain, word),
-    )
+    plans = chain._word_plans
+    plan = plans.get(word.symbols)
+    if plan is None:
+        plans.clear()
+        plan = plans[word.symbols] = _WordPlan(chain, word)
+    return plan
 
 
 def feasible_distance_counts(chain: MarkovChain, word: Word) -> DistanceCounts:
@@ -680,10 +678,8 @@ def markov_online_policy(
     used parameter pairs, so their tables carry over from one release to
     the next.
     """
-    return _cached(
-        chain._online_policies, (epsilon, k), _ONLINE_POLICY_LIMIT,
-        lambda: MarkovOnlinePolicy(chain, epsilon, k),
-    )
+    return _cached(chain._online_policies, (epsilon, k),
+                   lambda: MarkovOnlinePolicy(chain, epsilon, k))
 
 
 def privatize_markov_online_step(

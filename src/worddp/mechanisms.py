@@ -201,7 +201,8 @@ class OnlinePolicy:
     """Per-symbol randomized-response rule.
 
     The true symbol is kept with probability ``tau`` and otherwise replaced
-    by one of the ``m - 1`` other symbols uniformly.
+    by one of the ``m - 1`` other symbols uniformly; with ``m = 1`` there is
+    none, so ``tau`` must be 1.
     """
 
     tau: float
@@ -212,6 +213,8 @@ class OnlinePolicy:
             raise ValueError("tau must lie in [0, 1]")
         size = _integer(self.alphabet_size, "alphabet size must be an integer >= 1",
                         low=1)
+        if size == 1 and self.tau != 1.0:
+            raise ValueError("a one-symbol alphabet keeps its symbol: tau must be 1")
         object.__setattr__(self, "alphabet_size", size)
 
     @property
@@ -258,7 +261,7 @@ def privatize_online_step(
 def _online_step(symbol: int, policy: OnlinePolicy, rng: np.random.Generator) -> int:
     """:func:`privatize_online_step` for a symbol already checked."""
     m = policy.alphabet_size
-    if m == 1 or rng.random() < policy.tau:
+    if rng.random() < policy.tau:
         return symbol
     offset = int(rng.integers(m - 1))
     return (symbol + 1 + offset) % m

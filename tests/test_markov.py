@@ -3,6 +3,7 @@ import json
 import logging
 import random
 import sys
+import tracemalloc
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
@@ -34,7 +35,7 @@ from worddp import (
 )
 from worddp import markov
 from worddp.cli import ExperimentSpec, run_experiment
-from worddp.markov import _ONLINE_POLICY_LIMIT, _WORD_PLAN_LIMIT, MarkovOnlinePolicy
+from worddp.markov import _ONLINE_POLICY_LIMIT, MarkovOnlinePolicy
 from worddp.markov import _word_plan
 from helpers import (
     TopUniformRng,
@@ -558,7 +559,7 @@ class TestMarkovOffline:
 
 
 class TestWordPlanCache:
-    def test_bounded_under_distinct_words(self, storybook_chain):
+    def test_holds_only_the_last_word(self, storybook_chain):
         chain = storybook_chain.with_initial("anywhere")
         rnd = random.Random(5)
         cfg = MechanismConfig(epsilon=1.0, k=1)
@@ -569,22 +570,41 @@ class TestWordPlanCache:
                 words.append(word)
         for word in words:
             privatize_markov_offline(chain, word, cfg, make_rng(0))
-        assert len(chain._word_plans) == _WORD_PLAN_LIMIT
-        assert list(chain._word_plans) == [
-            w.symbols for w in words[-_WORD_PLAN_LIMIT:]
-        ]
+        assert list(chain._word_plans) == [words[-1].symbols]
 
-    def test_repeated_word_stays_warm(self, storybook_chain, sample_tokens):
+    def test_back_to_back_word_keeps_its_plan(self, storybook_chain, sample_tokens):
         chain = storybook_chain.with_initial("anywhere")
         sentence = chain.word(sample_tokens)
-        rnd = random.Random(6)
         cfg = MechanismConfig(epsilon=1.0, k=1)
         privatize_markov_offline(chain, sentence, cfg, make_rng(0))
         plan = chain._word_plans[sentence.symbols]
-        for _ in range(3 * _WORD_PLAN_LIMIT):
-            privatize_markov_offline(chain, walk(chain, rnd, 15), cfg, make_rng(0))
-            privatize_markov_offline(chain, sentence, cfg, make_rng(0))
-        assert chain._word_plans[sentence.symbols] is plan
+        for seed in range(5):
+            privatize_markov_offline(chain, sentence, cfg, make_rng(seed))
+            assert chain._word_plans[sentence.symbols] is plan
+        # another word in between drops it
+        privatize_markov_offline(chain, walk(chain, random.Random(6), 15), cfg,
+                                 make_rng(0))
+        privatize_markov_offline(chain, sentence, cfg, make_rng(0))
+        assert chain._word_plans[sentence.symbols] is not plan
+
+    def test_memory_stays_flat_under_fresh_words(self, storybook_chain):
+        # one n = 60 suffix table takes about 1.3 MB, so a second plan
+        # kept alive would break the bound
+        chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
+        rnd = random.Random(7)
+        words = [walk(chain, rnd, 60) for _ in range(20)]
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        tracemalloc.start()
+        try:
+            privatize_markov_offline(chain, words[0], cfg, make_rng(0))
+            first = tracemalloc.get_traced_memory()[0]
+            for word in words[1:]:
+                privatize_markov_offline(chain, word, cfg, make_rng(0))
+            last = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(set(words)) == 20
+        assert last <= 1.5 * first
 
 
 class TestWordPlanLaws:
@@ -602,6 +622,16 @@ class TestWordPlanLaws:
         assert list(plan._laws) == [
             (chain.initial, eps, 1) for eps in epsilons[-_ONLINE_POLICY_LIMIT:]
         ]
+
+    def test_refused_law_keeps_the_held_laws(self, four_state_chain):
+        chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
+        plan = _word_plan(chain, chain.word(["s1", "s2", "s3"]))
+        held = {(s, eps, 1): plan.law(s, eps, 1)
+                for s in (0, 1) for eps in (1, 2, 3, 4)}
+        assert len(held) == _ONLINE_POLICY_LIMIT
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            plan.law(0, float("nan"), 1)
+        assert list(plan._laws.items()) == list(held.items())
 
     def test_sweep_keeps_hitting(self, storybook_chain, sample_tokens):
         chain = storybook_chain.with_initial("anywhere")
@@ -695,7 +725,7 @@ class TestWordPlan:
                 distance = hamming_distance(word, out)
                 assert automata[distance].sample(clone) == out
 
-    def test_evicts_before_building(self, storybook_chain, monkeypatch):
+    def test_one_live_plan(self, storybook_chain, monkeypatch):
         live = weakref.WeakSet()
         alive_at_build = []
 
@@ -712,8 +742,8 @@ class TestWordPlan:
         for _ in range(30):
             privatize_markov_offline(chain, walk(chain, rnd, 20), cfg, make_rng(0))
         assert len(alive_at_build) == 30
-        assert max(alive_at_build) == _WORD_PLAN_LIMIT - 1
-        assert len(live) == _WORD_PLAN_LIMIT
+        assert max(alive_at_build) == 0
+        assert len(live) == 1
 
 
 class TestSharedStructure:
@@ -1086,6 +1116,17 @@ class TestMarkovOnlineTable:
         assert list(chain._online_policies) == [
             (eps, 1) for eps in epsilons[-_ONLINE_POLICY_LIMIT:]
         ]
+
+    def test_refused_policy_keeps_the_held_policies(self, four_state_chain):
+        chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
+        held = {
+            (eps, 1): markov_online_policy(chain, eps, 1)
+            for eps in (0.5, 1, 2, 3, 4, 5, 6, 7)
+        }
+        assert len(held) == _ONLINE_POLICY_LIMIT
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            markov_online_policy(chain, float("nan"), 1)
+        assert list(chain._online_policies.items()) == list(held.items())
 
     def test_policy_reused_across_releases(self, four_state_chain):
         chain = four_state_chain.with_initial("s0")

@@ -317,6 +317,9 @@ class TestOnlinePolicy:
     def test_single_symbol_alphabet_keeps_input(self):
         pol = online_policy(1, 1.0, 1)
         assert pol.tau == 1.0
+        # there is no other symbol to take the rest of the row's mass
+        with pytest.raises(ValueError, match="tau must be 1"):
+            OnlinePolicy(tau=0.5, alphabet_size=1)
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1e6])
@@ -370,6 +373,15 @@ class TestPrivatizeOnline:
         rng = cfg.rng()
         stepped = tuple(privatize_online_step(s, pol, rng) for s in word.symbols)
         assert whole.symbols == stepped
+
+    def test_single_symbol_alphabet_reads_one_uniform_per_symbol(self):
+        word = Word((0,) * 7, Alphabet(("a",)))
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=4)
+        rng, reference = cfg.rng(), cfg.rng()
+        assert privatize_online(word, cfg, rng) == word
+        for _ in range(7):
+            reference.random()
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_substitutions_never_echo(self):
         # forced substitution must always change the symbol
