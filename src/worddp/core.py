@@ -138,6 +138,15 @@ class Word:
         return " ".join(self.tokens())
 
 
+def _released(symbols: tuple[int, ...], alphabet: Alphabet) -> Word:
+    """A release's output word, without ``Word.__post_init__``'s check: its
+    symbols are in-range ``int``s by construction (a checked word's, ``% m``
+    or a chain's successors)."""
+    word = object.__new__(Word)
+    word.__dict__.update(symbols=symbols, alphabet=alphabet)
+    return word
+
+
 def encode_word(tokens: Sequence[str], alphabet: Alphabet) -> Word:
     """Map a token sequence to a :class:`Word`, validating every token."""
     if len(tokens) == 0:

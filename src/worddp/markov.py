@@ -49,7 +49,7 @@ import numpy as np
 
 from worddp.automaton import _DistanceLanguage, _check_enumerable, _enumerate
 from worddp.core import (
-    Alphabet, MechanismConfig, Word, _check_params, _integer, encode_word,
+    Alphabet, MechanismConfig, Word, _check_params, _integer, _released, encode_word,
 )
 from worddp.mechanisms import DistanceDistribution, _class_law
 
@@ -382,7 +382,8 @@ class _WordPlan:
     k), and the CDF rows of the uniform walk.  A step's successor weights
     depend only on the position ``i``, the mismatches still ``needed`` and
     the state, so one row keyed by ``(i, needed, state)`` serves every
-    start and every target distance.
+    start and every target distance.  As in
+    :meth:`MarkovOnlinePolicy._rows`, a row omits its last boundary.
 
     ``table[i][s]`` packs the feasible completions from position ``i`` in
     state ``s`` into one Python int: slot ``q`` (bits ``q*B`` up to
@@ -471,7 +472,7 @@ class _WordPlan:
             if w > 0:
                 succs.append(s)
                 weights.append(w / here)
-        return tuple(succs), list(accumulate(weights))
+        return tuple(succs), list(accumulate(weights[:-1]))
 
     def walk(self, start: int, distance: int, rng: np.random.Generator) -> Word:
         """Uniform draw from the feasible words after ``start`` at exactly
@@ -488,11 +489,11 @@ class _WordPlan:
             if row is None:
                 row = rows[key] = self._row(i, needed, state)
             succs, cdf = row
-            state = succs[min(bisect_right(cdf, u), len(succs) - 1)]
+            state = succs[bisect_right(cdf, u)]
             if state != target:
                 needed -= 1
             symbols.append(state)
-        return Word(tuple(symbols), self._states)
+        return _released(tuple(symbols), self._states)
 
 
 def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
@@ -587,8 +588,9 @@ class MarkovOnlinePolicy:
     from ``s_prev`` the policy builds the CDF row over its successors for
     every true state at once, one row per reachable true state and one
     shared row for all the others.  What gets built therefore depends on
-    the released states only, never on the secret true state.  A filled
-    entry holds ``N * (N + 1)`` floats.
+    the released states only, never on the secret true state.  A row
+    omits its last boundary, so a filled entry holds ``(N + 1) * (N - 1)``
+    floats.
     """
 
     def __init__(self, chain: MarkovChain, epsilon: float, k: int):
@@ -640,31 +642,33 @@ class MarkovOnlinePolicy:
         each true state, built for every true state on the first call.
 
         Each row is the sequential float cumsum of the :meth:`probability`
-        values, as ``np.cumsum`` would give it.
+        values, as ``np.cumsum`` would give it, without its last entry, so
+        the last successor takes every uniform above the others' (the float
+        rounding gap below 1 included), as a clamped search would.
         """
         hit = self._table.get(previous_output)
         if hit is not None:
             return hit
         succs = self.chain.successors(previous_output)
         kept, other, unconditioned = self._masses(previous_output)
-        shared = list(accumulate([unconditioned] * len(succs)))
+        shared = list(accumulate([unconditioned] * (len(succs) - 1)))
         rows = [shared] * self.chain.n_states
         for place, true_state in enumerate(succs):
             masses = [other] * len(succs)
             masses[place] = kept
-            rows[true_state] = list(accumulate(masses))
+            rows[true_state] = list(accumulate(masses[:-1]))
         entry = self._table[previous_output] = (succs, rows)
         return entry
 
-    def walk(self, symbols: Sequence[int], state: int,
-             rng: np.random.Generator) -> list[int]:
+    def _walk(self, symbols: Sequence[int], state: int,
+              rng: np.random.Generator) -> list[int]:
         """Release each of ``symbols`` in turn from the previous output
         ``state``, one uniform per symbol, drawn as one block."""
         table, fill = self._table, self._rows
         released = []
         for true_state, u in zip(symbols, rng.random(len(symbols)).tolist()):
             succs, rows = table.get(state) or fill(state)
-            state = succs[min(bisect_right(rows[true_state], u), len(succs) - 1)]
+            state = succs[bisect_right(rows[true_state], u)]
             released.append(state)
         return released
 
@@ -695,7 +699,7 @@ def privatize_markov_online_step(
     previous_output = _integer(
         previous_output, "previous output index {} out of range", high=last
     )
-    return policy.walk((state,), previous_output, rng)[0]
+    return policy._walk((state,), previous_output, rng)[0]
 
 
 def privatize_markov_online(
@@ -722,5 +726,5 @@ def privatize_markov_online(
     prev = chain.initial
     if initial_output is not None:
         prev = chain._state_index(initial_output)
-    return Word(tuple(policy.walk(word.symbols, prev, rng)), chain.states)
+    return _released(tuple(policy._walk(word.symbols, prev, rng)), chain.states)
 

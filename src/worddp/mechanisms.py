@@ -26,7 +26,7 @@ from math import exp, lgamma
 
 import numpy as np
 
-from worddp.core import MechanismConfig, Word, _check_params, _integer
+from worddp.core import MechanismConfig, Word, _check_params, _integer, _released
 
 __all__ = [
     "DistanceDistribution",
@@ -178,7 +178,7 @@ def _walk(word: Word, needed: int, rng: np.random.Generator) -> Word:
         else:
             symbols.append((x_i + 1 + int(integers(m - 1))) % m)
             needed -= 1
-    return Word(tuple(symbols), word.alphabet)
+    return _released(tuple(symbols), word.alphabet)
 
 
 def privatize_offline(
@@ -278,4 +278,4 @@ def privatize_online(
     policy = online_policy(len(word.alphabet), config.epsilon, config.k)
     # a Word's symbols are already checked
     symbols = tuple(_online_step(s, policy, rng) for s in word.symbols)
-    return Word(symbols, word.alphabet)
+    return _released(symbols, word.alphabet)

@@ -1,4 +1,5 @@
 import csv
+from itertools import islice
 from math import exp
 
 import numpy as np
@@ -372,3 +373,37 @@ class TestModeTable:
         assert alphabet == word.alphabet
         bound = (four_state_chain,) if mode.chained else ()
         assert release(word, CFG) == mode.privatize(*bound, word, CFG)
+
+
+class TestReleasedWords:
+    """A release builds its output without ``Word``'s check, since its
+    symbols are in range by construction; the output must still be the word
+    that check gives, with plain ``int`` symbols."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 40.0])
+    @pytest.mark.parametrize("name", list(MODES))
+    def test_output_is_a_checked_word(
+        self, name, eps, storybook_chain, four_state_chain, sample_tokens
+    ):
+        one_state = MarkovChain(("a",), np.ones((1, 1)))  # m = 1
+        # every step forced: a -> b -> c -> a
+        cycle = MarkovChain(("a", "b", "c"), np.roll(np.eye(3), 1, axis=1))
+        storybook = storybook_chain.with_initial("anywhere")
+        cfg = MechanismConfig(epsilon=eps, k=1)
+        rng = np.random.default_rng(18)
+        released = 0
+        for chain in (storybook, four_state_chain, one_state, cycle):
+            alphabet, _, release = resolve_mode(name, chain.states, chain)
+            words = [w for n in (1, 4) for w in islice(chain.feasible_words(n), 5)]
+            if chain is storybook:
+                words.append(chain.word(sample_tokens))
+            for word in words:
+                for _ in range(10):
+                    out = release(word, cfg, rng=rng)
+                    assert out == Word(out.symbols, out.alphabet)
+                    assert hash(out) == hash(Word(out.symbols, out.alphabet))
+                    assert type(out.symbols) is tuple and len(out) == len(word)
+                    assert all(type(s) is int for s in out.symbols)
+                    assert out.alphabet is alphabet
+                    released += 1
+        assert released == 10 * 20  # 8 storybook, 8 four-state, 2 + 2 forced words

@@ -7,7 +7,7 @@ import tracemalloc
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
-from math import comb, exp
+from math import comb, exp, nextafter
 from pathlib import Path
 
 import numpy as np
@@ -644,9 +644,10 @@ class TestWordPlanLaws:
 
 
 def step_reference(chain, word, reference, i, needed, state):
-    """Successors and ``np.cumsum`` of the exact path-count ratios out of
-    ``(i, needed, state)``, read from the unpacked loop table, as the
-    product automaton's per-distance step cache built them."""
+    """Successors and the full ``np.cumsum`` of the exact path-count
+    ratios out of ``(i, needed, state)``, read from the unpacked loop table,
+    as the product automaton's per-distance step cache built them; a plan's
+    row is that cumsum without its last entry."""
     n = len(word)
 
     def count(i, needed, s):
@@ -673,17 +674,18 @@ class TestWordPlan:
         reference = loop_suffix_table(chain, word)
         n = len(word)
         for (i, needed, state), row in plan._rows.items():
-            assert row == step_reference(chain, word, reference, i, needed, state)
+            succs, full = step_reference(chain, word, reference, i, needed, state)
+            assert row == (succs, full[:-1])
         built = 0
         for i in range(n):
             for needed in range(n - i + 1):
                 for state in range(chain.n_states):
                     if plan.count(i, needed, state) == 0:
                         continue
-                    expected = step_reference(
+                    succs, full = step_reference(
                         chain, word, reference, i, needed, state
                     )
-                    assert plan._row(i, needed, state) == expected
+                    assert plan._row(i, needed, state) == (succs, full[:-1])
                     built += 1
         return built
 
@@ -1039,7 +1041,7 @@ class TestStreamContract:
             state, stepped = chain.initial, []
             for i, target in enumerate(word.symbols):
                 succs, cdf = plan._row(i, needed, state)
-                state = succs[min(bisect_right(cdf, clone.random()), len(succs) - 1)]
+                state = succs[bisect_right(cdf, clone.random())]
                 needed -= state != target
                 stepped.append(state)
             assert out.symbols == tuple(stepped)
@@ -1062,7 +1064,7 @@ class TestMarkovOnlineTable:
                 for true_state in range(chain.n_states):
                     unreachable += not chain.can_follow(true_state, prev)
                     probs = [pol.probability(s, true_state, prev) for s in succs]
-                    assert rows[true_state] == np.cumsum(probs).tolist()
+                    assert rows[true_state] == np.cumsum(probs)[:-1].tolist()
         assert unreachable > 0
         assert forced > 0 or name == "four-state"
 
@@ -1145,6 +1147,91 @@ class TestMarkovOnlineTable:
                 privatize_markov_online(
                     four_state_chain, word, cfg, initial_output=start
                 )
+
+
+class TestClampFreeStep:
+    """A walk row omits its last boundary, so ``bisect_right`` alone picks
+    the successor that the clamped search of the full cumsum picks:
+    ``min(bisect_right(a, u), L - 1) == bisect_right(a[:L - 1], u)`` for a
+    nondecreasing ``a`` of length ``L``, including a last boundary that
+    rounds below or above 1 and repeated boundaries of zero-mass
+    successors."""
+
+    class FixedRng:
+        """Generator stand-in whose every uniform is ``u``."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, size):
+            return np.full(size, self.u)
+
+    @staticmethod
+    def check(succs, row, full, step=None):
+        last = len(succs) - 1
+        assert len(full) == len(succs) and row == full[:-1]
+        probes = {0.0, 1 - 2**-53}
+        for b in full:
+            probes |= {b, nextafter(b, -1.0), nextafter(b, 2.0)}
+        for u in probes:
+            clamped = succs[min(bisect_right(full, u), last)]
+            assert succs[bisect_right(row, u)] == clamped
+            if step is not None and u < 1.0:  # a uniform the walk can draw
+                assert step(u) == clamped
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 40.0])
+    @pytest.mark.parametrize("name", ["storybook", "four-state"])
+    def test_policy_rows(self, name, eps, storybook_chain, four_state_chain):
+        chain = {"storybook": storybook_chain, "four-state": four_state_chain}[name]
+        pol = MarkovOnlinePolicy(chain, eps, 1)
+        zero_mass = 0
+        for prev in range(chain.n_states):
+            succs, rows = pol._rows(prev)
+            for true_state in range(chain.n_states):
+                probs = [pol.probability(s, true_state, prev) for s in succs]
+                zero_mass += probs.count(0.0)
+
+                def step(u):  # the policy's own walk, one step drawing u
+                    return pol._walk((true_state,), prev, self.FixedRng(u))[0]
+
+                self.check(succs, rows[true_state], np.cumsum(probs).tolist(), step)
+        # at eps = 40 tau rounds to 1.0: every other successor has no mass
+        assert (zero_mass > 0) == (eps == 40.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 40.0])
+    @pytest.mark.parametrize("name", ["storybook", "four-state"])
+    def test_plan_rows(
+        self, name, eps, storybook_chain, four_state_chain, sample_tokens
+    ):
+        if name == "storybook":
+            chain = storybook_chain.with_initial("anywhere")
+            words = [chain.word(sample_tokens)]
+        else:
+            chain = four_state_chain
+            words = [w for n in range(1, 5) for w in chain.feasible_words(n)]
+        cfg = MechanismConfig(epsilon=eps, k=1)
+        forced = 0
+        for word in words:
+            plan = _word_plan(chain, word)
+            rng = make_rng(len(word))
+            for _ in range(20):
+                privatize_markov_offline(chain, word, cfg, rng)
+            reference = loop_suffix_table(chain, word)
+            keys = [
+                (i, needed, state)
+                for i in range(len(word))
+                for needed in range(len(word) - i + 1)
+                for state in range(chain.n_states)
+                if plan.count(i, needed, state) > 0
+            ]
+            assert set(plan._rows) <= set(keys)  # the rows the releases used
+            for key in keys:
+                succs, full = step_reference(chain, word, reference, *key)
+                row_succs, row = plan._rows.get(key) or plan._row(*key)
+                assert row_succs == succs
+                forced += len(succs) == 1
+                self.check(succs, row, full)
+        assert forced > 0
 
 
 class TestStorybookChain:
