@@ -17,18 +17,21 @@ suffix-count table packing each (position, state) row of exact counts into
 one Python int, with a slot width bounded by the chain's walk counts so
 that no slot overflows; the distance law per (start, epsilon, k); and the
 walk's CDF rows, keyed by position, mismatches still needed and state, so
-that every start and distance shares them.  A chain keeps the plan of
-the last input word only.  The per-symbol sampler's plan depends on public
-data only: a chain keeps one policy per recent (epsilon, k), which fills
-its CDF rows per previously released state.  A start is a parameter of
-the chain, not a copy of it: every :meth:`MarkovChain.with_initial` of a
-chain shares its structure and these caches.
+that every start and distance shares them, each linked to the rows its
+successors lead to.  A chain keeps the plan of the last input word only,
+and a held plan also answers whether the input is feasible.  The
+per-symbol sampler's plan depends on public data only: a chain keeps one
+policy per recent (epsilon, k), which fills its CDF rows per previously
+released state.  A start is a parameter of the chain, not a copy of it:
+every :meth:`MarkovChain.with_initial` of a chain shares its structure and
+these caches.
 
-Both walks draw their n uniforms as one block, ``rng.random(n)``, which
-numpy defines to equal n scalar draws, generator state after included; so
-every seeded output equals the step-by-step one.  The free modes keep one
-scalar draw per symbol: a substitute's integer draw follows its uniform,
-so a block would change their seeded streams.
+Each release reads one block of uniforms, which numpy defines to equal as
+many scalar draws, generator state after included; so every seeded output
+equals the step-by-step one.  ``mc-online`` reads n, one per symbol;
+``mc-offline`` reads n + 1, the distance's and then one per position.
+The free modes keep one scalar draw per symbol: a substitute's integer
+draw follows its uniform, so a block would change their seeded streams.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import string
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import exp, log
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -124,8 +127,12 @@ class MarkovChain:
         self.states = states
         self.matrix = mat
         self.initial = self._state_index(initial)
+        # one pass in row-major order: each row's successors come ascending
+        rows, cols = np.nonzero(mat > 0)
+        ends = np.bincount(rows, minlength=m).cumsum().tolist()
+        cols = cols.tolist()
         self._successors: list[tuple[int, ...]] = [
-            tuple(int(j) for j in np.flatnonzero(mat[i] > 0)) for i in range(m)
+            tuple(cols[a:b]) for a, b in zip([0] + ends, ends)
         ]
         self._successor_sets = [frozenset(s) for s in self._successors]
         # the last input word's mc-offline plan, shared by every start
@@ -314,14 +321,14 @@ def build_bigram(
         order.setdefault(tok, len(order))
     states = Alphabet(tuple(order))
     m = len(states)
+    index = np.array([order[tok] for tok in tokens])
     counts = np.zeros((m, m))
-    for a, b in zip(tokens, tokens[1:]):
-        counts[order[a], order[b]] += 1
-    for i in range(m):
-        if counts[i].sum() == 0:
-            j = i if sink == "self-loop" else order[tokens[0]]
-            counts[i, j] = 1
-    matrix = counts / counts.sum(axis=1, keepdims=True)
+    np.add.at(counts, (index[:-1], index[1:]), 1)
+    totals = counts.sum(axis=1)
+    sinks = np.flatnonzero(totals == 0)
+    counts[sinks, sinks if sink == "self-loop" else index[0]] = 1
+    totals[sinks] = 1
+    matrix = counts / totals[:, None]
     start = initial if initial is not None else tokens[0]
     if start not in states:
         raise ValueError(f"initial token {start!r} does not occur in the corpus")
@@ -363,14 +370,14 @@ class DistanceCounts:
 
 def _cached(cache: OrderedDict, key, build):
     """``cache[key]`` from an LRU cache of ``_ONLINE_POLICY_LIMIT`` small
-    entries (policies and laws), calling ``build()`` on a miss.  It evicts
-    only after ``build()`` returns, so a refused build leaves the cache as
-    it was."""
+    entries (policies and laws), calling ``build(*key)`` on a miss.  It
+    evicts only after ``build`` returns, so a refused build leaves the cache
+    as it was."""
     hit = cache.get(key)
     if hit is not None:
         cache.move_to_end(key)
         return hit
-    value = cache[key] = build()
+    value = cache[key] = build(*key)
     if len(cache) > _ONLINE_POLICY_LIMIT:
         cache.popitem(last=False)
     return value
@@ -379,11 +386,18 @@ def _cached(cache: OrderedDict, key, build):
 class _WordPlan:
     """Everything ``mc-offline`` computes for one (chain structure, input
     word): the packed suffix table, the distance law per (start, epsilon,
-    k), and the CDF rows of the uniform walk.  A step's successor weights
-    depend only on the position ``i``, the mismatches still ``needed`` and
-    the state, so one row keyed by ``(i, needed, state)`` serves every
-    start and every target distance.  As in
+    k), and the linked CDF rows of the uniform walk.  A step's successor
+    weights depend only on the position ``i``, the mismatches still
+    ``needed`` and the state, so one row keyed by ``(i, needed, state)``
+    serves every start and every target distance.  As in
     :meth:`MarkovOnlinePolicy._rows`, a row omits its last boundary.
+
+    Rows are built lazily, and each row links each successor it can take
+    to the row that follows it, filled the first time that branch is taken
+    and shared through ``_rows``.  So a warm step is one ``bisect_right``
+    and two list reads (the successor and the next row); only the row at
+    position 0 is looked up by key.  The rows a walk has filled depend on
+    earlier releases, which is the timing channel the README describes.
 
     ``table[i][s]`` packs the feasible completions from position ``i`` in
     state ``s`` into one Python int: slot ``q`` (bits ``q*B`` up to
@@ -420,7 +434,7 @@ class _WordPlan:
         self._successors = successors
         self._states = chain.states
         self._laws: OrderedDict[tuple, DistanceDistribution] = OrderedDict()
-        # (i, needed, state) -> (successors with completions, CDF over them)
+        # (i, needed, state) -> its walk row, see _row
         self._rows: dict[tuple[int, int, int], tuple] = {}
 
     def count(self, i: int, needed: int, state: int) -> int:
@@ -441,8 +455,7 @@ class _WordPlan:
         """Output-distance law after ``start``: each class size times
         ``exp(-eps*l/(2k))``, kept for the ``_ONLINE_POLICY_LIMIT`` most
         recent (start, epsilon, k)."""
-        return _cached(self._laws, (start, epsilon, k),
-                       lambda: self._law(start, epsilon, k))
+        return _cached(self._laws, (start, epsilon, k), self._law)
 
     def _law(self, start: int, epsilon: float, k: int) -> DistanceDistribution:
         _check_params(epsilon, k)
@@ -460,9 +473,10 @@ class _WordPlan:
             log_sizes[l] = log(counts.counts[l])
         return _class_law(log_sizes, epsilon, k)
 
-    def _row(
-        self, i: int, needed: int, state: int
-    ) -> tuple[tuple[int, ...], list[float]]:
+    def _row(self, i: int, needed: int, state: int) -> tuple:
+        """The walk row at ``(i, needed, state)``: the successors with
+        completions, the CDF over them, one link per successor (``None``
+        until that branch is first taken) and the row's own key."""
         here = self.count(i, needed, state)
         target = self._symbols[i]
         succs = []
@@ -472,28 +486,45 @@ class _WordPlan:
             if w > 0:
                 succs.append(s)
                 weights.append(w / here)
-        return tuple(succs), list(accumulate(weights[:-1]))
+        return (tuple(succs), list(accumulate(weights[:-1])),
+                [None] * len(succs), (i, needed, state))
+
+    def _stored(self, key: tuple[int, int, int]) -> tuple:
+        """The row under ``key``, built and stored on first use."""
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._row(*key)
+        return row
+
+    def _link(self, row: tuple, j: int) -> tuple:
+        """The row after taking ``row``'s successor ``j``, linked into it."""
+        succs, _, links, (i, needed, _) = row
+        state = succs[j]
+        if state != self._symbols[i]:
+            needed -= 1
+        links[j] = after = self._stored((i + 1, needed, state))
+        return after
+
+    def _walk(self, start: int, distance: int, uniforms: Iterator[float]) -> Word:
+        """The walk from ``start`` at ``distance`` that the next n of
+        ``uniforms`` drive.  A warm step reads its successor and the next
+        row from the row it is in; the last step links nowhere."""
+        row = self._stored((0, distance, start))
+        symbols = []
+        for u in islice(uniforms, self._n - 1):
+            succs, cdf, links, _ = row
+            j = bisect_right(cdf, u)
+            symbols.append(succs[j])
+            row = links[j] or self._link(row, j)
+        succs, cdf, _, _ = row
+        symbols.append(succs[bisect_right(cdf, next(uniforms))])
+        return _released(tuple(symbols), self._states)
 
     def walk(self, start: int, distance: int, rng: np.random.Generator) -> Word:
         """Uniform draw from the feasible words after ``start`` at exactly
         ``distance`` from the input; one uniform per position, drawn as one
         block."""
-        rows = self._rows
-        state = start
-        needed = distance
-        symbols = []
-        uniforms = rng.random(self._n).tolist()
-        for i, (target, u) in enumerate(zip(self._symbols, uniforms)):
-            key = (i, needed, state)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = self._row(i, needed, state)
-            succs, cdf = row
-            state = succs[bisect_right(cdf, u)]
-            if state != target:
-                needed -= 1
-            symbols.append(state)
-        return _released(tuple(symbols), self._states)
+        return self._walk(start, distance, iter(rng.random(self._n).tolist()))
 
 
 def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
@@ -560,17 +591,26 @@ def privatize_markov_offline(
 ) -> Word:
     """Release a feasible privatized word for a feasible input.
 
-    Draws the output distance from the feasibility-weighted law (one
-    uniform), then walks the word's plan to a uniform feasible word at that
-    distance.  Raises :class:`InfeasibleWordError` for inputs the chain
-    cannot generate.
+    Reads one block of n + 1 uniforms: distance, then walk.  The first
+    picks the output distance from the feasibility-weighted law, as
+    :meth:`DistanceDistribution.sample` would, and the other n walk the
+    word's plan to a uniform feasible word at that distance.  Raises
+    :class:`InfeasibleWordError` for inputs the chain cannot generate,
+    before any plan is built or dropped.
     """
-    chain.require_feasible(word)
+    start = chain.initial
+    plan = None
+    if word.alphabet is chain.states:
+        plan = chain._word_plans.get(word.symbols)
+    # a held plan counts the input itself: 1 exactly when it is feasible
+    if plan is None or not plan.count(0, 0, start):
+        chain.require_feasible(word)
+        plan = _word_plan(chain, word)
     if rng is None:
         rng = config.rng()
-    plan = _word_plan(chain, word)
-    start = chain.initial
-    return plan.walk(start, plan.law(start, config.epsilon, config.k).sample(rng), rng)
+    law = plan.law(start, config.epsilon, config.k)
+    uniforms = iter(rng.random(plan._n + 1).tolist())
+    return plan._walk(start, bisect_right(law._cdf, next(uniforms)), uniforms)
 
 
 # -- per-symbol mechanism ------------------------------------------------------
@@ -604,15 +644,18 @@ class MarkovOnlinePolicy:
 
     def tau(self, previous_output: int) -> float:
         """Retention probability of a reachable true state."""
-        n_succ = self.chain.n_successors(previous_output)
+        return self._tau(self.chain.n_successors(previous_output))
+
+    def _tau(self, n_succ: int) -> float:
+        """:meth:`tau` after a previous output with ``n_succ`` successors."""
         return 1.0 / ((n_succ - 1) * self._decay + 1.0)
 
     def _masses(self, previous_output: int) -> tuple[float, float, float]:
-        """Per-successor masses after ``previous_output``: of a reachable
-        true state, of each other successor beside it, and of every
-        successor when the true state is unreachable."""
-        n_succ = self.chain.n_successors(previous_output)
-        tau = self.tau(previous_output)
+        """Per-successor masses after the checked index ``previous_output``:
+        of a reachable true state, of each other successor beside it, and of
+        every successor when the true state is unreachable."""
+        n_succ = len(self.chain._successors[previous_output])
+        tau = self._tau(n_succ)
         other = (1.0 - tau) / (n_succ - 1) if n_succ > 1 else 0.0
         return tau, other, 1.0 / n_succ
 
@@ -649,7 +692,7 @@ class MarkovOnlinePolicy:
         hit = self._table.get(previous_output)
         if hit is not None:
             return hit
-        succs = self.chain.successors(previous_output)
+        succs = self.chain._successors[previous_output]
         kept, other, unconditioned = self._masses(previous_output)
         shared = list(accumulate([unconditioned] * (len(succs) - 1)))
         rows = [shared] * self.chain.n_states
@@ -683,7 +726,7 @@ def markov_online_policy(
     the next.
     """
     return _cached(chain._online_policies, (epsilon, k),
-                   lambda: MarkovOnlinePolicy(chain, epsilon, k))
+                   lambda *key: MarkovOnlinePolicy(chain, *key))
 
 
 def privatize_markov_online_step(

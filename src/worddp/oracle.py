@@ -158,7 +158,7 @@ class _FixedTauPolicy(MarkovOnlinePolicy):
     """``mc-online`` policy that always keeps a reachable true state,
     whatever the budget: the negative control."""
 
-    def tau(self, previous_output: int) -> float:
+    def _tau(self, n_succ: int) -> float:
         return 1.0
 
 

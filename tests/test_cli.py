@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from worddp import Alphabet, MarkovChain
+from worddp import Alphabet, MarkovChain, tokenize
 from worddp.analytics import MODES
 from worddp.cli import (
     EXIT_INFEASIBLE,
@@ -237,6 +237,42 @@ class TestBuildChain:
             )
             assert code == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
+
+    @staticmethod
+    def loop_reference(text: str, sink: str) -> str:
+        """The chain JSON by pure loops: dict counts, one division per
+        transition, states in first-appearance order."""
+        tokens = tokenize(text)
+        order = list(dict.fromkeys(tokens))
+        counts = {a: {} for a in order}
+        for a, b in zip(tokens, tokens[1:]):
+            counts[a][b] = counts[a].get(b, 0) + 1
+        for a in order:
+            if not counts[a]:
+                counts[a][a if sink == "self-loop" else tokens[0]] = 1
+        transitions = [
+            {"from": a, "to": b, "p": counts[a][b] / sum(counts[a].values())}
+            for a in order for b in order if b in counts[a]
+        ]
+        data = {"states": order, "initial": tokens[0], "transitions": transitions}
+        return json.dumps(data, indent=2) + "\n"
+
+    @pytest.mark.parametrize("sink", ["self-loop", "wrap"])
+    def test_matches_a_pure_loop_reference(self, sink, capsys, tmp_path, data_dir):
+        text = (data_dir / "sample_corpus.txt").read_text(encoding="utf-8")
+        # the bundled corpus has no sink; a new last token makes one
+        corpora = {"bundled": data_dir / "sample_corpus.txt",
+                   "sink": tmp_path / "sink.txt"}
+        corpora["sink"].write_text(text + " Zebra\n", encoding="utf-8")
+        for name, corpus in corpora.items():
+            out_path = tmp_path / f"{name}.json"
+            code, _, _ = run_cli(
+                capsys, "build-chain", "--corpus", str(corpus),
+                "--out", str(out_path), "--sink", sink,
+            )
+            assert code == EXIT_OK
+            expected = self.loop_reference(corpus.read_text(encoding="utf-8"), sink)
+            assert out_path.read_bytes() == expected.encode("utf-8"), name
 
     def test_lowercase_and_initial_flags(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"

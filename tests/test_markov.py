@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import logging
 import random
@@ -151,6 +152,19 @@ class TestMarkovChain:
             assert chain.n_successors(s) == len(succ)
             for t in succ:
                 assert chain.can_follow(t, s)
+
+    def test_successors_equal_the_nonzero_entries_of_each_row(
+        self, four_state_chain, storybook_chain
+    ):
+        chains = [four_state_chain, storybook_chain, cycle_chain()]
+        chains += [random_chain(seed, n_states) for seed, n_states
+                   in ((2, 4), (3, 9), (4, 30))]
+        for chain in chains:
+            expected = [tuple(int(j) for j in np.flatnonzero(row > 0))
+                        for row in chain.matrix]
+            assert chain._successors == expected
+            assert all(type(j) is int for succs in expected for j in succs)
+            assert all(type(j) is int for succs in chain._successors for j in succs)
 
     def test_with_initial_preserves_matrix(self, four_state_chain):
         moved = four_state_chain.with_initial("s2")
@@ -558,6 +572,68 @@ class TestMarkovOffline:
                 assert released == case["releases"][repr(eps)], case["name"]
 
 
+class TestFeasibilityFromThePlan:
+    """A release reads the input's feasibility from a held plan, whose
+    ``count(0, 0, start)`` is 1 exactly when the input is feasible from
+    ``start``; without a plan, or on a count of 0, it checks the word step
+    by step before building anything."""
+
+    @pytest.mark.parametrize("hold_own_plan", [False, True])
+    def test_refuses_exactly_the_infeasible_words(
+        self, four_state_chain, hold_own_plan
+    ):
+        structure = MarkovChain(four_state_chain.states, four_state_chain.matrix)
+        m = structure.n_states
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        refused = released = 0
+        for start in range(m):
+            chain = structure.with_initial(start)
+            for n in range(1, 5):
+                for symbols in itertools.product(range(m), repeat=n):
+                    word = Word(symbols, chain.states)
+                    if hold_own_plan:
+                        # builds the plan whether or not the word is feasible
+                        feasible_distance_counts(chain, word)
+                        assert list(chain._word_plans) == [symbols]
+                    held = dict(chain._word_plans)
+                    bad = chain.first_infeasible_step(word)
+                    if bad is None:
+                        out = privatize_markov_offline(chain, word, cfg, make_rng(n))
+                        assert chain.is_feasible(out)
+                        released += 1
+                        continue
+                    rng = make_rng(n)
+                    before = rng.bit_generator.state
+                    with pytest.raises(InfeasibleWordError) as err:
+                        privatize_markov_offline(chain, word, cfg, rng)
+                    refusal = err.value
+                    assert (refusal.position, refusal.from_token,
+                            refusal.to_token) == bad
+                    assert rng.bit_generator.state == before
+                    # the same plan objects, none evicted and none built
+                    assert list(chain._word_plans) == list(held)
+                    for key, plan in held.items():
+                        assert chain._word_plans[key] is plan
+                    refused += 1
+        assert refused > 0 and released > 0
+        assert refused + released == m * sum(m ** n for n in range(1, 5))
+
+    def test_held_plan_of_another_start_decides_per_start(self, four_state_chain):
+        # s1 may follow s0 but not s3, so one held plan answers both ways
+        structure = MarkovChain(four_state_chain.states, four_state_chain.matrix)
+        word = structure.word(["s1", "s2"])
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        privatize_markov_offline(structure.with_initial("s0"), word, cfg, make_rng(0))
+        plan = structure._word_plans[word.symbols]
+        bad = structure.with_initial("s3").first_infeasible_step(word)
+        assert bad is not None and plan.count(0, 0, 3) == 0
+        with pytest.raises(InfeasibleWordError) as err:
+            privatize_markov_offline(structure.with_initial("s3"), word, cfg,
+                                     make_rng(0))
+        assert (err.value.position, err.value.from_token, err.value.to_token) == bad
+        assert structure._word_plans == {word.symbols: plan}
+
+
 class TestWordPlanCache:
     def test_holds_only_the_last_word(self, storybook_chain):
         chain = storybook_chain.with_initial("anywhere")
@@ -675,7 +751,7 @@ class TestWordPlan:
         n = len(word)
         for (i, needed, state), row in plan._rows.items():
             succs, full = step_reference(chain, word, reference, i, needed, state)
-            assert row == (succs, full[:-1])
+            assert row[:2] == (succs, full[:-1])
         built = 0
         for i in range(n):
             for needed in range(n - i + 1):
@@ -685,7 +761,7 @@ class TestWordPlan:
                     succs, full = step_reference(
                         chain, word, reference, i, needed, state
                     )
-                    assert plan._row(i, needed, state) == (succs, full[:-1])
+                    assert plan._row(i, needed, state)[:2] == (succs, full[:-1])
                     built += 1
         return built
 
@@ -746,6 +822,66 @@ class TestWordPlan:
         assert len(alive_at_build) == 30
         assert max(alive_at_build) == 0
         assert len(live) == 1
+
+
+class TestLinkedRows:
+    """Each walk row links each successor it has taken to the row that
+    follows, the row stored under that key; a warm release follows the
+    links and releases what a new chain structure releases."""
+
+    def test_links_point_to_the_stored_rows(self, storybook_chain, sample_tokens):
+        structure = MarkovChain(storybook_chain.states, storybook_chain.matrix)
+        word = structure.word(sample_tokens)
+        grid = (0.01, 0.1, 1.0, 5.0, 10.0)
+        starts = ("anywhere", "am", "Sam")  # the sentence is feasible from each
+        rng = make_rng(19)
+        for r in range(2000):
+            chain = structure.with_initial(starts[r % 3])
+            cfg = MechanismConfig(epsilon=grid[r // 3 % 5], k=1)
+            privatize_markov_offline(chain, word, cfg, rng)
+        plan = structure._word_plans[word.symbols]
+        rows = plan._rows
+        stored = {id(row) for row in rows.values()}
+        n, linked = len(word), 0
+        for key, row in rows.items():
+            succs, cdf, links, own_key = row
+            i, needed, _ = key
+            assert own_key == key and len(links) == len(succs)
+            if i == n - 1:  # the last step links nowhere
+                assert links == [None] * len(succs)
+            for state, after in zip(succs, links):
+                if after is None:
+                    continue
+                after_key = (i + 1, needed - (state != word.symbols[i]), state)
+                assert after[3] == after_key
+                assert rows[after_key] is after and id(after) in stored
+                linked += 1
+        assert linked > 1000
+        # every row at a later position was reached through a link
+        targets = {after[3] for row in rows.values() for after in row[2] if after}
+        assert {key for key in rows if key[0] > 0} == targets
+
+    @pytest.mark.parametrize("n", [15, 60])
+    def test_warm_structure_releases_as_a_new_one(
+        self, n, storybook_chain, sample_tokens
+    ):
+        states, matrix = storybook_chain.states, storybook_chain.matrix
+        warm = MarkovChain(states, matrix, "anywhere")
+        word = (warm.word(sample_tokens) if n == 15
+                else walk(warm, random.Random(n), n))
+        assert len(word) == n
+        for eps in (0.1, 1.0, 10.0):
+            cfg = MechanismConfig(epsilon=eps, k=1)
+            rng = make_rng(n)
+            for _ in range(300):
+                privatize_markov_offline(warm, word, cfg, rng)
+        for seed in range(30):
+            cfg = MechanismConfig(epsilon=(0.1, 1.0, 10.0)[seed % 3], k=1)
+            new = MarkovChain(states, matrix, "anywhere")
+            rng, twin = make_rng(seed), make_rng(seed)
+            out = privatize_markov_offline(warm, word, cfg, rng)
+            assert out == privatize_markov_offline(new, word, cfg, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestSharedStructure:
@@ -1040,7 +1176,7 @@ class TestStreamContract:
             needed = plan.law(chain.initial, eps, 1).sample(clone)
             state, stepped = chain.initial, []
             for i, target in enumerate(word.symbols):
-                succs, cdf = plan._row(i, needed, state)
+                succs, cdf = plan._row(i, needed, state)[:2]
                 state = succs[bisect_right(cdf, clone.random())]
                 needed -= state != target
                 stepped.append(state)
@@ -1227,7 +1363,7 @@ class TestClampFreeStep:
             assert set(plan._rows) <= set(keys)  # the rows the releases used
             for key in keys:
                 succs, full = step_reference(chain, word, reference, *key)
-                row_succs, row = plan._rows.get(key) or plan._row(*key)
+                row_succs, row = (plan._rows.get(key) or plan._row(*key))[:2]
                 assert row_succs == succs
                 forced += len(succs) == 1
                 self.check(succs, row, full)
