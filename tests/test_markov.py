@@ -163,7 +163,6 @@ class TestMarkovChain:
             expected = [tuple(int(j) for j in np.flatnonzero(row > 0))
                         for row in chain.matrix]
             assert chain._successors == expected
-            assert all(type(j) is int for succs in expected for j in succs)
             assert all(type(j) is int for succs in chain._successors for j in succs)
 
     def test_with_initial_preserves_matrix(self, four_state_chain):
@@ -841,7 +840,6 @@ class TestLinkedRows:
             privatize_markov_offline(chain, word, cfg, rng)
         plan = structure._word_plans[word.symbols]
         rows = plan._rows
-        stored = {id(row) for row in rows.values()}
         n, linked = len(word), 0
         for key, row in rows.items():
             succs, cdf, links, own_key = row
@@ -854,7 +852,7 @@ class TestLinkedRows:
                     continue
                 after_key = (i + 1, needed - (state != word.symbols[i]), state)
                 assert after[3] == after_key
-                assert rows[after_key] is after and id(after) in stored
+                assert rows[after_key] is after
                 linked += 1
         assert linked > 1000
         # every row at a later position was reached through a link
