@@ -15,7 +15,8 @@ successors of the previously released state.
 The whole-word sampler's plan belongs to one (chain, input word): a
 suffix-count table packing each (position, state) row of exact counts into
 one Python int, with a slot width bounded by the chain's walk counts so
-that no slot overflows; the distance law per (start, epsilon, k); and the
+that no slot overflows (a chain computes it once per word length, since no
+input word changes it); the distance law per (start, epsilon, k); and the
 walk's CDF rows, keyed by position, mismatches still needed and state, so
 that every start and distance shares them, each linked to the rows its
 successors lead to.  A chain keeps the plan of the last input word only,
@@ -137,6 +138,8 @@ class MarkovChain:
         self._successor_sets = [frozenset(s) for s in self._successors]
         # the last input word's mc-offline plan, shared by every start
         self._word_plans: dict[tuple[int, ...], _WordPlan] = {}
+        # word length -> mc-offline slot width, which no input word changes
+        self._widths: dict[int, int] = {}
         self._online_policies: OrderedDict[
             tuple[float, int], "MarkovOnlinePolicy"
         ] = OrderedDict()
@@ -412,12 +415,15 @@ class _WordPlan:
     from ``s``.  That number never falls as the length grows (every state
     has a successor), so the largest number of length-``n`` walks from any
     state bounds every slot, and ``B`` is its bit length: no slot carries
-    into the next.
+    into the next.  ``B`` depends on the chain and ``n`` only, so the chain
+    structure computes it for the first plan of each length and keeps it.
     """
 
     def __init__(self, chain: MarkovChain, word: Word):
-        successors = chain._successors
-        width = max(chain._walks(len(word))).bit_length()
+        successors, n = chain._successors, len(word)
+        width = chain._widths.get(n)
+        if width is None:
+            width = chain._widths[n] = max(chain._walks(n)).bit_length()
         row = [1] * chain.n_states
         table = [row]
         for target in reversed(word.symbols):
@@ -429,7 +435,7 @@ class _WordPlan:
         self._table = table
         self._width = width
         self._mask = (1 << width) - 1
-        self._n = len(word)
+        self._n = n
         self._symbols = word.symbols
         self._successors = successors
         self._states = chain.states

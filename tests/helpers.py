@@ -69,7 +69,11 @@ def chi_square_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
 
 
 def random_chain(seed: int, n_states: int = 4) -> MarkovChain:
-    """A reproducible chain with a sparse but row-stochastic matrix."""
+    """A reproducible chain with a sparse but row-stochastic matrix and at
+    least four feasible words of length 3."""
+    if n_states < 2:
+        # one state has one feasible word per length: the retry never ends
+        raise ValueError("a random chain needs at least two states")
     rng = np.random.default_rng(seed)
     m = n_states
     while True:

@@ -331,6 +331,13 @@ class TestDistanceCounts:
         assert counts[0] == 0
 
 
+def test_random_chain_refuses_a_single_state():
+    # one state has one feasible word per length, which the helper's
+    # retry loop would wait on forever
+    with pytest.raises(ValueError, match="at least two states"):
+        random_chain(1, 1)
+
+
 def walk(chain: MarkovChain, rnd: random.Random, n: int) -> Word:
     """A feasible word taking a uniformly chosen successor at every step."""
     prev, symbols = chain.initial, []
@@ -682,6 +689,58 @@ class TestWordPlanCache:
         assert last <= 1.5 * first
 
 
+class TestSlotWidthCache:
+    """A chain structure computes the slot width once per word length, from
+    its walk counts, and every start and input word of that length reads
+    it."""
+
+    @pytest.mark.parametrize("lengths", [(80, 15, 80), (15, 80, 15)])
+    def test_interleaved_lengths_count_exactly(self, lengths):
+        m = 5
+        chain = complete_chain(m)
+        for n in lengths:
+            word = Word(tuple(i % m for i in range(n)), chain.states)
+            counts = feasible_distance_counts(chain, word)
+            assert list(counts) == [comb(n, r) * (m - 1) ** r for r in range(n + 1)]
+
+    def test_walk_counts_run_once_per_length(self, storybook_chain, monkeypatch):
+        calls = []
+        walks = MarkovChain._walks
+
+        def counting(chain, n, guard=False):
+            calls.append(n)
+            return walks(chain, n, guard)
+
+        monkeypatch.setattr(MarkovChain, "_walks", counting)
+        source = MarkovChain(storybook_chain.states, storybook_chain.matrix)
+        starts = [source.with_initial(s) for s in ("anywhere", "green", "could")]
+        rnd = random.Random(20)
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        for _ in range(5):
+            for n in (15, 60):
+                for chain in starts:
+                    privatize_markov_offline(chain, walk(chain, rnd, n), cfg,
+                                             make_rng(0))
+        assert calls == [15, 60]
+        fresh = MarkovChain(storybook_chain.states, storybook_chain.matrix, "green")
+        privatize_markov_offline(fresh, walk(fresh, rnd, 15), cfg, make_rng(0))
+        assert calls == [15, 60, 15]
+
+    def test_width_is_the_bit_length_of_the_walk_counts(self, storybook_chain):
+        chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
+        rnd = random.Random(21)
+        for n in (1, 15, 60, 200):
+            plan = _word_plan(chain, walk(chain, rnd, n))
+            assert plan._width == max(chain._walks(n)).bit_length()
+
+    def test_one_entry_per_length(self, storybook_chain):
+        chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
+        rnd = random.Random(22)
+        for i in range(100):
+            feasible_distance_counts(chain, walk(chain, rnd, (5, 12, 30)[i % 3]))
+        assert sorted(chain._widths) == [5, 12, 30]
+
+
 class TestWordPlanLaws:
     def test_laws_bounded_under_distinct_budgets(self, storybook_chain, sample_tokens):
         # a plan kept one law per epsilon it ever saw
@@ -891,7 +950,7 @@ class TestSharedStructure:
         moved = chain.with_initial("s2")
         assert (moved.initial, chain.initial) == (2, 0)
         for name in ("states", "matrix", "_successors", "_successor_sets",
-                     "_word_plans", "_online_policies"):
+                     "_word_plans", "_widths", "_online_policies"):
             assert getattr(moved, name) is getattr(chain, name), name
         fresh = MarkovChain(chain.states, chain.matrix, "s2")
         assert fresh._word_plans is not chain._word_plans
@@ -1105,11 +1164,14 @@ class TestMarkovOnline:
 
 
 class TestStreamContract:
-    """Both chain modes draw a release's per-position uniforms in one
-    ``rng.random(n)`` call.  numpy defines that to return the doubles of n
-    scalar calls and to leave the generator where they leave it, so each
-    release equals its per-step replay on a cloned generator, generator
-    state included; the traced benchmark replays ``mc-online`` so."""
+    """Each chain-mode release draws its uniforms in one block:
+    ``mc-offline`` one ``rng.random(n + 1)`` call, the distance first and
+    then one per position of the walk, and ``mc-online`` one
+    ``rng.random(n)`` call.  numpy defines a block to return the doubles of
+    as many scalar calls and to leave the generator where they leave it, so
+    each release equals its per-step replay on a cloned generator,
+    generator state included; the traced benchmark replays ``mc-online``
+    so."""
 
     @pytest.fixture(scope="class")
     def inputs(self, storybook_chain, sample_tokens):
