@@ -234,12 +234,14 @@ def write_accuracy_csv(path: str | Path, rows: Iterable[dict]) -> None:
 
 class Mode(NamedTuple):
     """One mechanism: its public ``privatize_*`` function, which takes the
-    chain (started at the public start) first when the mode is ``chained``,
+    chain (started at the public start) first when the mode is ``chained``;
+    whether it releases ``per_symbol`` rather than the whole word at once;
     and ``cells(word, chain, epsilon, k)``, the experiment row's analytic
     ``expectation, variance, lower, upper``, empty where the mode has none."""
 
     privatize: Callable[..., Word]
     chained: bool
+    per_symbol: bool
     cells: Callable[..., tuple]
 
 
@@ -255,10 +257,12 @@ def _bracket_cells(word: Word, chain: MarkovChain, epsilon: float, k: int) -> tu
 
 
 MODES = {
-    "offline": Mode(privatize_offline, False, partial(_moment_cells, offline_moments)),
-    "online": Mode(privatize_online, False, partial(_moment_cells, online_moments)),
-    "mc-offline": Mode(privatize_markov_offline, True, _bracket_cells),
-    "mc-online": Mode(privatize_markov_online, True, lambda *_: ("",) * 4),
+    "offline": Mode(privatize_offline, False, False,
+                    partial(_moment_cells, offline_moments)),
+    "online": Mode(privatize_online, False, True,
+                   partial(_moment_cells, online_moments)),
+    "mc-offline": Mode(privatize_markov_offline, True, False, _bracket_cells),
+    "mc-online": Mode(privatize_markov_online, True, True, lambda *_: ("",) * 4),
 }
 
 

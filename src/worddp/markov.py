@@ -55,7 +55,8 @@ from worddp.automaton import _DistanceLanguage, _check_enumerable, _enumerate
 from worddp.core import (
     Alphabet, MechanismConfig, Word, _check_params, _integer, _released, encode_word,
 )
-from worddp.mechanisms import DistanceDistribution, _class_law
+from worddp.mechanisms import (DistanceDistribution, _class_law, _retention,
+                               _substitution)
 
 __all__ = [
     "InfeasibleWordError",
@@ -185,6 +186,11 @@ class MarkovChain:
 
     # -- feasibility ---------------------------------------------------------
 
+    def _check_word(self, word: Word) -> None:
+        """Refuse a word over any other alphabet than the state set."""
+        if word.alphabet != self.states:
+            raise ValueError("word is not over this chain's state set")
+
     def first_infeasible_step(
         self, word: Word
     ) -> tuple[int, str, str] | None:
@@ -193,8 +199,7 @@ class MarkovChain:
         Position 0 refers to the step from the initial state to the first
         symbol.
         """
-        if word.alphabet != self.states:
-            raise ValueError("word is not over this chain's state set")
+        self._check_word(word)
         prev, follows = self.initial, self._successor_sets
         for pos, sym in enumerate(word.symbols):
             if sym not in follows[prev]:
@@ -526,12 +531,6 @@ class _WordPlan:
         symbols.append(succs[bisect_right(cdf, next(uniforms))])
         return _released(tuple(symbols), self._states)
 
-    def walk(self, start: int, distance: int, rng: np.random.Generator) -> Word:
-        """Uniform draw from the feasible words after ``start`` at exactly
-        ``distance`` from the input; one uniform per position, drawn as one
-        block."""
-        return self._walk(start, distance, iter(rng.random(self._n).tolist()))
-
 
 def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
     """The chain's ``mc-offline`` plan for ``word``, built on first use.
@@ -540,8 +539,7 @@ def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
     the chain shares.  Another word clears it before its own plan is
     built, so at most one suffix table per chain structure is alive.
     """
-    if word.alphabet != chain.states:
-        raise ValueError("word is not over this chain's state set")
+    chain._check_word(word)
     plans = chain._word_plans
     plan = plans.get(word.symbols)
     if plan is None:
@@ -586,7 +584,8 @@ class ProductDistanceAutomaton(_DistanceLanguage):
 
     def sample(self, rng: np.random.Generator) -> Word:
         """Uniform draw from the accepted language: the release walk."""
-        return self._plan.walk(self._start, self.distance, rng)
+        uniforms = iter(rng.random(self._n).tolist())
+        return self._plan._walk(self._start, self.distance, uniforms)
 
 
 def privatize_markov_offline(
@@ -650,20 +649,15 @@ class MarkovOnlinePolicy:
 
     def tau(self, previous_output: int) -> float:
         """Retention probability of a reachable true state."""
-        return self._tau(self.chain.n_successors(previous_output))
-
-    def _tau(self, n_succ: int) -> float:
-        """:meth:`tau` after a previous output with ``n_succ`` successors."""
-        return 1.0 / ((n_succ - 1) * self._decay + 1.0)
+        return _retention(self.chain.n_successors(previous_output), self._decay)
 
     def _masses(self, previous_output: int) -> tuple[float, float, float]:
         """Per-successor masses after the checked index ``previous_output``:
         of a reachable true state, of each other successor beside it, and of
         every successor when the true state is unreachable."""
         n_succ = len(self.chain._successors[previous_output])
-        tau = self._tau(n_succ)
-        other = (1.0 - tau) / (n_succ - 1) if n_succ > 1 else 0.0
-        return tau, other, 1.0 / n_succ
+        tau = _retention(n_succ, self._decay)
+        return tau, _substitution(n_succ, tau), 1.0 / n_succ
 
     def probability(self, output: int, true_state: int, previous_output: int) -> float:
         """Conditional probability of releasing ``output``."""
@@ -767,8 +761,7 @@ def privatize_markov_online(
     Output, and the generator's state after, equal stepping manually with
     the same generator; the walk draws its uniforms as one block.
     """
-    if word.alphabet != chain.states:
-        raise ValueError("word is not over this chain's state set")
+    chain._check_word(word)
     if rng is None:
         rng = config.rng()
     policy = markov_online_policy(chain, config.epsilon, config.k)

@@ -220,9 +220,7 @@ class OnlinePolicy:
     @property
     def substitution_probability(self) -> float:
         """Probability of each specific wrong symbol."""
-        if self.alphabet_size == 1:
-            return 0.0
-        return (1.0 - self.tau) / (self.alphabet_size - 1)
+        return _substitution(self.alphabet_size, self.tau)
 
     def probabilities(self, symbol: int) -> np.ndarray:
         """Full conditional output row for a given input symbol."""
@@ -233,16 +231,25 @@ class OnlinePolicy:
         return row
 
 
+def _retention(choices: int, decay: float) -> float:
+    """Mass of the kept true symbol among ``choices`` outputs at the weight
+    ``decay = exp(-epsilon/k)``; the free and the chain policy share it."""
+    return 1.0 / ((choices - 1) * decay + 1.0)
+
+
+def _substitution(choices: int, tau: float) -> float:
+    """Mass of each output other than the kept one; 0 when there is none."""
+    return (1.0 - tau) / (choices - 1) if choices > 1 else 0.0
+
+
 def online_policy(m: int, epsilon: float, k: int) -> OnlinePolicy:
     """Strongest per-symbol retention rate that still meets the word-level
-    budget: ``tau = 1 / ((m-1) * exp(-epsilon/k) + 1)``, exactly 1 for
-    ``m = 1``.
+    budget: ``tau = 1 / ((m-1) * exp(-epsilon/k) + 1)`` (:func:`_retention`).
 
     Construction cost is O(1); the rule is the same at every position.
     """
     _check_params(epsilon, k, m=m)
-    tau = 1.0 / ((m - 1) * exp(-epsilon / k) + 1.0)
-    return OnlinePolicy(tau=tau, alphabet_size=m)
+    return OnlinePolicy(tau=_retention(m, exp(-epsilon / k)), alphabet_size=m)
 
 
 def privatize_online_step(

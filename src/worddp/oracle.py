@@ -17,14 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from worddp.analytics import resolve_mode
+from worddp.analytics import MODES, resolve_mode
 from worddp.automaton import _check_enumerable
 from worddp.core import Alphabet, MechanismConfig, Word, _integer, hamming_distance
 from worddp.markov import MarkovChain, MarkovOnlinePolicy, _WordPlan
-from worddp.mechanisms import (
-    OnlinePolicy, _logsumexp, _match_probability, distance_distribution,
-    online_policy,
-)
+from worddp.mechanisms import (_logsumexp, _match_probability, distance_distribution,
+                               online_policy)
 
 __all__ = [
     "OutputDistribution",
@@ -154,16 +152,28 @@ class DpReport:
         )
 
 
-class _FixedTauPolicy(MarkovOnlinePolicy):
-    """``mc-online`` policy that always keeps a reachable true state,
-    whatever the budget: the negative control."""
-
-    def _tau(self, n_succ: int) -> float:
-        return 1.0
-
-
 def _symbols(words: Sequence[Word]) -> np.ndarray:
     return np.array([w.symbols for w in words], dtype=np.intp)
+
+
+def _step_table(m: int, config: MechanismConfig, chain: MarkovChain | None,
+                break_tau: bool) -> np.ndarray:
+    """``table[previous output, true symbol, output]`` of a per-symbol mode:
+    :func:`online_policy`'s rows for every previous output, or an uncached
+    :class:`MarkovOnlinePolicy`'s.  The negative control keeps a true symbol
+    that can follow with 1.0, and gives an unreachable one ``1.0 / N`` on
+    each of the previous output's ``N`` successors."""
+    if break_tau:
+        follows = np.array([[chain is None or o in chain.successors(q)
+                             for o in range(m)] for q in range(m)])
+        spread = follows / follows.sum(axis=1, keepdims=True)
+        return np.where(follows[:, :, None], np.eye(m), spread[:, None])
+    if chain is None:
+        rows = online_policy(m, config.epsilon, config.k).probabilities
+        return np.broadcast_to([rows(t) for t in range(m)], (m, m, m))
+    # not through the chain's cache, which would evict its release policies
+    rows = MarkovOnlinePolicy(chain, config.epsilon, config.k).probabilities
+    return np.array([[rows(t, q) for t in range(m)] for q in range(m)])
 
 
 def _law_matrix(
@@ -179,12 +189,13 @@ def _law_matrix(
     every row shares.  Each entry is the product of the factors the
     release takes, position by position from the left, and each row is
     normalized by its sum.  A chain mode releases from ``chain.initial``;
-    a free mode ignores ``chain``.  ``break_tau`` makes the per-symbol
-    modes keep a reachable true symbol with probability 1.
+    a free mode ignores ``chain``.  A per-symbol mode reads every factor
+    from its one step table (:func:`_step_table`), and ``break_tau`` puts
+    the negative control's in its place; a whole-word mode ignores it.
     """
     alphabet, chain, _ = resolve_mode(kind, inputs[0].alphabet, chain)
-    if chain is not None and any(word.alphabet != alphabet for word in inputs):
-        raise ValueError("word is not over this chain's state set")
+    for word in inputs if chain else ():
+        chain._check_word(word)
     n, m = len(inputs[0]), len(alphabet)
     eps, k = config.epsilon, config.k
     _check_exact_size(n, m)
@@ -193,7 +204,13 @@ def _law_matrix(
     # differing symbols per (input, output): the Hamming distance
     distance = (x[:, None] != w[None]).sum(axis=-1)
 
-    if kind == "offline":
+    if MODES[kind].per_symbol:
+        table = _step_table(m, config, chain, break_tau)
+        p, prev = np.ones(distance.shape), chain.initial if chain else 0
+        for i in range(n):
+            p = p * table[prev, x[:, i, None], w[None, :, i]]
+            prev = w[:, i]
+    elif chain is None:  # the free whole-word mode
         p = distance_distribution(n, m, eps, k).probabilities[distance]
         needed = distance
         for i in range(n):
@@ -202,17 +219,7 @@ def _law_matrix(
             # with m = 1 no output mismatches; max() only spares a 0 / 0
             p = p * np.where(match, keep, (1.0 - keep) / max(m - 1, 1))
             needed = needed - ~match
-    elif kind == "online":
-        policy = (
-            OnlinePolicy(tau=1.0, alphabet_size=m)
-            if break_tau
-            else online_policy(m, eps, k)
-        )
-        table = np.array([policy.probabilities(s) for s in range(m)])
-        p = table[x[:, 0, None], w[None, :, 0]]
-        for i in range(1, n):
-            p = p * table[x[:, i, None], w[None, :, i]]
-    elif kind == "mc-offline":
+    else:  # the chain's whole-word mode
         by_distance = []
         for word in inputs:
             chain.require_feasible(word)
@@ -224,18 +231,6 @@ def _law_matrix(
                 [dist[d] * (1 / counts[d]) if counts[d] else 0.0 for d in range(n + 1)]
             )
         p = np.take_along_axis(np.array(by_distance), distance, axis=1)
-    else:
-        # not through the chain's cache, which would evict its release policies
-        policy = (_FixedTauPolicy if break_tau else MarkovOnlinePolicy)(chain, eps, k)
-        # table[previous output, true state, output]
-        table = np.array(
-            [[policy.probabilities(t, q) for t in range(m)] for q in range(m)]
-        )
-        p = np.ones(distance.shape)
-        prev = np.full(len(support), chain.initial)
-        for i in range(n):
-            p = p * table[prev[None], x[:, i, None], w[None, :, i]]
-            prev = w[:, i]
     return p / p.sum(axis=1, keepdims=True), support
 
 
@@ -253,9 +248,9 @@ def verify_dp(
     For every pair of inputs within Hamming distance ``k`` the full output
     laws are compared pointwise; the report carries the largest absolute
     log-ratio and the witnesses.  A zero probability on one side only is
-    unbounded leakage and fails the check outright.  The chain modes are
-    checked from ``chain.initial``, and ``break_tau`` checks the per-symbol
-    modes' negative control (see :func:`_law_matrix`).
+    unbounded leakage and fails the check outright.  A chain mode starts at
+    ``chain.initial``; ``break_tau`` swaps a per-symbol mode's step table
+    for the negative control's (see :func:`_step_table`).
 
     Pairs are scanned in row-major order, in chunks.  The witness is the
     first one-sided pair at its first one-sided output if there is one,
@@ -265,7 +260,7 @@ def verify_dp(
     alphabet, chain, _ = resolve_mode(kind, alphabet, chain)
     n = _integer(n, _LENGTH_MESSAGE, low=1)
     _check_exact_size(n, len(alphabet))
-    if kind == "mc-offline":
+    if chain and not MODES[kind].per_symbol:  # refuses an infeasible input
         inputs = list(chain.feasible_words(n))
     else:  # the other samplers accept any input word
         inputs = all_words(alphabet, n)

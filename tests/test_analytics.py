@@ -362,6 +362,21 @@ class TestModeTable:
     def test_the_four_modes_in_order(self):
         assert list(MODES) == ["offline", "online", "mc-offline", "mc-online"]
         assert [mode.chained for mode in MODES.values()] == [False, False, True, True]
+        assert [mode.per_symbol for mode in MODES.values()] == [False, True, False, True]
+
+    @pytest.mark.parametrize("name", [n for n, mode in MODES.items() if mode.per_symbol])
+    def test_per_symbol_release_fixes_each_symbol_as_it_arrives(
+        self, four_state_chain, name
+    ):
+        # on one seeded stream, the release of a prefix is the release's prefix
+        word = four_state_chain.word(["s1", "s2", "s3", "s0"])
+        _, _, release = resolve_mode(name, word.alphabet, four_state_chain)
+        for seed in range(20):
+            whole = release(word, CFG, rng=np.random.default_rng(seed)).symbols
+            for j in range(1, len(word)):
+                prefix = Word(word.symbols[:j], word.alphabet)
+                out = release(prefix, CFG, rng=np.random.default_rng(seed))
+                assert out.symbols == whole[:j]
 
     @pytest.mark.parametrize("name", list(MODES))
     def test_resolved_release_is_the_public_one(self, four_state_chain, name):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from worddp import (
+    Alphabet,
     InfeasibleWordError,
     MarkovChain,
     MechanismConfig,
@@ -38,6 +39,7 @@ from worddp import markov
 from worddp.cli import ExperimentSpec, run_experiment
 from worddp.markov import _ONLINE_POLICY_LIMIT, MarkovOnlinePolicy
 from worddp.markov import _word_plan
+from worddp.oracle import exact_law
 from helpers import (
     TopUniformRng,
     brute_feasible_words,
@@ -293,6 +295,26 @@ class TestFeasibility:
             symbols = [w.symbols for w in automaton.iter_language()]
             assert symbols == sorted(symbols)
             assert len(symbols) == automaton.language_size
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda chain, word, cfg: chain.is_feasible(word),
+            lambda chain, word, cfg: feasible_distance_counts(chain, word),
+            lambda chain, word, cfg: privatize_markov_offline(chain, word, cfg),
+            lambda chain, word, cfg: privatize_markov_online(chain, word, cfg),
+            lambda chain, word, cfg: ProductDistanceAutomaton(chain, word, 0),
+            lambda chain, word, cfg: exact_law("mc-online", word, cfg, chain),
+        ],
+        ids=["is_feasible", "feasible_distance_counts", "privatize_markov_offline",
+             "privatize_markov_online", "ProductDistanceAutomaton", "exact_law"],
+    )
+    def test_word_over_another_alphabet_refused(self, four_state_chain, entry):
+        word = Word((0, 1), Alphabet(("a", "b")))
+        cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        with pytest.raises(ValueError) as err:
+            entry(four_state_chain, word, cfg)
+        assert str(err.value) == "word is not over this chain's state set"
 
 
 class TestDistanceCounts:

@@ -596,3 +596,50 @@ class TestNegativeControl:
         alphabet = Alphabet(tuple("abcd"[:m]))
         report = verify_dp("online", n=2, config=cfg, alphabet=alphabet, break_tau=True)
         assert report.passed == (m == 1)
+
+
+class TestPerSymbolFamily:
+    """The chain modes extend the free ones: on the complete chain, where
+    every state follows every state, each pair releases the same law, and
+    the negative control's step rows follow their definition."""
+
+    BUDGETS = [(eps, k) for eps in (0.0, 0.1, 1.0, 5.0) for k in (1, 2)]
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 6) for n in range(1, 5)])
+    def test_free_laws_are_complete_chain_laws(self, m, n):
+        chain = complete_chain(m)
+        words = all_words(chain.states, n)
+        for eps, k in self.BUDGETS:
+            cfg = MechanismConfig(epsilon=eps, k=k)
+            for break_tau in (False, True):
+                # every input at once: exact_law's law is one row of these
+                free, support = _law_matrix("online", words, cfg, None, break_tau)
+                chained = _law_matrix("mc-online", words, cfg, chain, break_tau)
+                assert support == chained[1] == tuple(words)
+                assert np.array_equal(free, chained[0])
+            # a whole-word plan per input: three inputs keep this quick
+            for x in (words[0], words[len(words) // 2], words[-1]):
+                free = exact_law("offline", x, cfg)
+                chained = exact_law("mc-offline", x, cfg, chain)
+                assert free.words == chained.words
+                assert np.allclose(free.probabilities, chained.probabilities,
+                                   rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["four-state", "delayed"])
+    def test_control_rows_follow_their_definition(self, name):
+        # four-state leaves true states unreachable; delayed has states with
+        # one successor
+        chain = LOOP_CHAINS[name]()
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        for previous in range(chain.n_states):
+            successors = chain.successors(previous)
+            for true_state in range(chain.n_states):
+                word = Word((true_state,), chain.states)
+                law = exact_law("mc-online", word, cfg,
+                                chain.with_initial(previous), break_tau=True)
+                assert [w.symbols for w in law.words] == [(s,) for s in successors]
+                if true_state in successors:
+                    expected = [float(s == true_state) for s in successors]
+                else:
+                    expected = [1.0 / len(successors)] * len(successors)
+                assert np.allclose(law.probabilities, expected, rtol=0.0, atol=1e-15)
