@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from worddp.core import Alphabet, Word, _integer
-from worddp.mechanisms import _match_probability, _walk
+from worddp.mechanisms import _match_probability, _substitution, _walk
 
 __all__ = ["DistanceAutomaton"]
 
@@ -210,7 +210,7 @@ class DistanceAutomaton(_DistanceLanguage):
         p_match = _match_probability(self._n - i, self.distance - e)
         if symbol == self.word.symbols[i]:
             return p_match
-        return (1.0 - p_match) / (self._m - 1)
+        return _substitution(self._m, p_match)
 
     def sample(self, rng: np.random.Generator) -> Word:
         """Draw one word uniformly from the accepted language, taking from

@@ -10,13 +10,14 @@ record of a mode holds its release, whether it releases from a chain, and
 its analytic CSV cells.
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failure,
-3 infeasible input word.
+3 infeasible input word, 141 (128 + SIGPIPE) output pipe closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import string
 import sys
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_INFEASIBLE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a stopped writer
 
 
 class VerificationFailed(Exception):
@@ -322,8 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> None:
     """Entry point with the documented exit-code contract."""
     try:
-        args = build_parser().parse_args(argv)
-        args.handler(args)
+        try:
+            args = build_parser().parse_args(argv)
+            args.handler(args)
+        finally:  # a closed pipe raises here, not at interpreter exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: stdout to devnull, so the flush at exit cannot raise
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         sys.exit(EXIT_VERIFICATION)

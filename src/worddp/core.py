@@ -83,22 +83,16 @@ class Alphabet:
         return self.tokens[_integer(index, "symbol index {} is outside the "
                                     "alphabet (size {})", m, high=m - 1)]
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.tokens))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Alphabet":
-        data = json.loads(text)
-        if not isinstance(data, list) or not all(isinstance(t, str) for t in data):
-            raise ValueError("alphabet JSON must be an array of token strings")
-        return cls(tuple(data))
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        """Write the tokens as one JSON array of strings."""
+        Path(path).write_text(json.dumps(list(self.tokens)) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Alphabet":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, list) or not all(isinstance(t, str) for t in data):
+            raise ValueError("alphabet JSON must be an array of token strings")
+        return cls(tuple(data))
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,9 @@ class MarkovChain:
     def can_follow(self, state: int, previous: int) -> bool:
         return self._index(state) in self._successor_sets[self._index(previous)]
 
-    def _index(self, state: int) -> int:
-        return _integer(state, "state index {} out of range", high=self.n_states - 1)
+    def _index(self, state: int, message: str = "state index {} out of range") -> int:
+        """``state`` under the integer rule; ``message`` names the argument."""
+        return _integer(state, message, high=self.n_states - 1)
 
     def _state_index(self, state: int | str) -> int:
         """Index of ``state``, given by name or by index."""
@@ -661,16 +662,14 @@ class MarkovOnlinePolicy:
 
     def probability(self, output: int, true_state: int, previous_output: int) -> float:
         """Conditional probability of releasing ``output``."""
-        last = self.chain.n_states - 1
-        output = _integer(output, "output index {} out of range", high=last)
+        output = self.chain._index(output, "output index {} out of range")
         return float(self.probabilities(true_state, previous_output)[output])
 
     def probabilities(self, true_state: int, previous_output: int) -> np.ndarray:
         """Full conditional row over the state set."""
-        last = self.chain.n_states - 1
-        true_state = _integer(true_state, "state index {} out of range", high=last)
-        previous_output = _integer(
-            previous_output, "previous output index {} out of range", high=last)
+        true_state = self.chain._index(true_state)
+        previous_output = self.chain._index(
+            previous_output, "previous output index {} out of range")
         kept, other, unconditioned = self._masses(previous_output)
         row = np.zeros(self.chain.n_states)
         reachable = self.chain.can_follow(true_state, previous_output)
@@ -681,17 +680,15 @@ class MarkovOnlinePolicy:
         return row
 
     def _rows(self, previous_output: int) -> tuple[tuple[int, ...], list[list[float]]]:
-        """Successors of ``previous_output`` and the CDF row over them for
-        each true state, built for every true state on the first call.
+        """Build ``previous_output``'s entry of the table :meth:`_walk`
+        reads, on its first step from there: the successors and the CDF row
+        over them for each true state, every true state at once.
 
         Each row is the sequential float cumsum of the :meth:`probability`
         values, as ``np.cumsum`` would give it, without its last entry, so
         the last successor takes every uniform above the others' (the float
         rounding gap below 1 included), as a clamped search would.
         """
-        hit = self._table.get(previous_output)
-        if hit is not None:
-            return hit
         succs = self.chain._successors[previous_output]
         kept, other, unconditioned = self._masses(previous_output)
         shared = list(accumulate([unconditioned] * (len(succs) - 1)))
@@ -737,11 +734,9 @@ def privatize_markov_online_step(
 ) -> int:
     """Release one state given the previously released one; consumes
     exactly one uniform."""
-    last = policy.chain.n_states - 1
-    state = _integer(state, "state index {} out of range", high=last)
-    previous_output = _integer(
-        previous_output, "previous output index {} out of range", high=last
-    )
+    state = policy.chain._index(state)
+    previous_output = policy.chain._index(
+        previous_output, "previous output index {} out of range")
     return policy._walk((state,), previous_output, rng)[0]
 
 

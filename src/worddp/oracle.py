@@ -21,8 +21,8 @@ from worddp.analytics import MODES, resolve_mode
 from worddp.automaton import _check_enumerable
 from worddp.core import Alphabet, MechanismConfig, Word, _integer, hamming_distance
 from worddp.markov import MarkovChain, MarkovOnlinePolicy, _WordPlan
-from worddp.mechanisms import (_logsumexp, _match_probability, distance_distribution,
-                               online_policy)
+from worddp.mechanisms import (_logsumexp, _match_probability, _substitution,
+                               distance_distribution, online_policy)
 
 __all__ = [
     "OutputDistribution",
@@ -216,8 +216,7 @@ def _law_matrix(
         for i in range(n):
             keep = _match_probability(n - i, needed)
             match = x[:, i, None] == w[None, :, i]
-            # with m = 1 no output mismatches; max() only spares a 0 / 0
-            p = p * np.where(match, keep, (1.0 - keep) / max(m - 1, 1))
+            p = p * np.where(match, keep, _substitution(m, keep))
             needed = needed - ~match
     else:  # the chain's whole-word mode
         by_distance = []

@@ -102,6 +102,32 @@ class TestPolicy:
         # from (0,0) a matching move would leave distance 2 unreachable
         assert a.transition_probability(0, 0, 0) == 0.0
 
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            # each candidate would be accepted without the alphabet or length check
+            pytest.param(
+                lambda a: a.accepts(Word((0, 1, 1), Alphabet(("x", "y", "z")))),
+                False, id="accepts-another-alphabet",
+            ),
+            pytest.param(lambda a: a.accepts(Word((0, 1, 1, 2), AB3)), False,
+                         id="accepts-a-longer-word"),
+            pytest.param(lambda a: a.accepts(Word((0, 2), AB3)), False,
+                         id="accepts-a-shorter-word"),
+            pytest.param(lambda a: a.transition_probability(0, 1, 1), 0.0,
+                         id="transition-above-the-band"),
+            pytest.param(lambda a: a.transition_probability(3, 1, 0), 0.0,
+                         id="transition-from-the-last-position"),
+            pytest.param(lambda a: auto("a b c", 3).transition_probability(1, 0, 1),
+                         0.0, id="transition-below-the-band"),
+        ],
+    )
+    def test_outside_the_language_gives_nothing(self, call, expected):
+        a = auto("a b c", 1)
+        assert a.accepts(Word((0, 1, 1), AB3))  # the in-alphabet twin is accepted
+        result = call(a)
+        assert result == expected and type(result) is type(expected)
+
     def test_run_fractions_uniform_exact(self):
         a = auto("a b c b", 2)
         size = a.language_size

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import worddp
 from worddp import Alphabet, MarkovChain, tokenize
 from worddp.analytics import MODES
 from worddp.cli import (
@@ -584,6 +588,42 @@ class TestEntryPoint:
         code, out, err = run_cli(capsys, *args)
         assert code == EXIT_USAGE
         assert out == "" and err.strip()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param(
+                ["privatize", "--mode", "offline", "--epsilon", "1",
+                 "--alphabet", ",", "--input", "a"],
+                "alphabet spec ',' is neither a file nor tokens", id="alphabet-comma",
+            ),
+            pytest.param(
+                ["experiment", "--mode", "offline", "--epsilon", "1",
+                 "--alphabet", "a,b", "--input", "", "--out", "rows.csv"],
+                "input word must be nonempty", id="experiment-no-input-tokens",
+            ),
+        ],
+    )
+    def test_outside_input_refused(self, capsys, tmp_path, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)  # no file named "," lies in the way
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_closed_pipe_exits_141_silently(self, chain_file):
+        # the reader closed its end before the command wrote anything
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(worddp.__file__).parents[1])}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "worddp.cli", "verify", "--chain", chain_file,
+                 "--n", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (128 + 13, b"")  # 128 + SIGPIPE
 
     # recorded from each subcommand's --help before the parser moved to argparse
     OPTION_NAMES = {

@@ -68,6 +68,34 @@ class TestAlphabet:
         assert json.loads(path.read_text()) == ["x", "y", "z"]
 
 
+def _alphabet_file(tmp_path, text: str) -> Alphabet:
+    path = tmp_path / "alphabet.json"
+    path.write_text(text, encoding="utf-8")
+    return Alphabet.load(path)
+
+
+ARRAY_OF_STRINGS = "alphabet JSON must be an array of token strings"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda tmp: _alphabet_file(tmp, '{"a": 1}'), ARRAY_OF_STRINGS,
+                     id="alphabet-file-object"),
+        pytest.param(lambda tmp: _alphabet_file(tmp, '"abc"'), ARRAY_OF_STRINGS,
+                     id="alphabet-file-string"),
+        pytest.param(lambda tmp: _alphabet_file(tmp, '["a", 1]'), ARRAY_OF_STRINGS,
+                     id="alphabet-file-number-token"),
+        pytest.param(lambda tmp: encode_word([], AB3),
+                     "cannot encode an empty token sequence", id="encode-empty"),
+    ],
+)
+def test_outside_input_refused(tmp_path, call, message):
+    with pytest.raises(ValueError) as err:
+        call(tmp_path)
+    assert str(err.value) == message
+
+
 class TestWord:
     def test_construction_and_text(self):
         w = Word((0, 2, 1), AB3)

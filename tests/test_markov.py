@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from worddp import (
     Alphabet,
+    DistanceCounts,
     InfeasibleWordError,
     MarkovChain,
     MechanismConfig,
@@ -220,6 +221,43 @@ class TestChainSerialization:
         }
         with pytest.raises(ValueError):
             MarkovChain.from_json_dict(data)
+
+
+def chain_json(p: float = 1.0, **fields) -> dict:
+    """A two-state cycle as chain JSON, with ``p`` on a -> b and each of
+    ``fields`` replaced (dropped when None)."""
+    data = {
+        "states": ["a", "b"],
+        "initial": "a",
+        "transitions": [{"from": "a", "to": "b", "p": p},
+                        {"from": "b", "to": "a", "p": 1.0}],
+    }
+    data.update(fields)
+    return {key: value for key, value in data.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        *(pytest.param(lambda field=field: MarkovChain.from_json_dict(
+              chain_json(**{field: None})),
+              f"chain JSON is missing the {field!r} field", id=f"missing-{field}")
+          for field in ("states", "initial", "transitions")),
+        *(pytest.param(lambda p=p: MarkovChain.from_json_dict(chain_json(p)),
+                       f"transition 'a' -> 'b' has probability {p} outside [0, 1]",
+                       id=f"probability-{p}")
+          for p in (1.5, -0.25, float("nan"))),
+        pytest.param(lambda: MarkovChain.from_json_dict(chain_json(initial="c")),
+                     "initial state 'c' is unknown", id="unknown-initial"),
+        pytest.param(lambda: DistanceCounts(()),
+                     "counts must be a nonempty nonnegative vector",
+                     id="no-distance-counts"),
+    ],
+)
+def test_outside_input_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestFeasibility:
@@ -1162,6 +1200,30 @@ class TestMarkovOnline:
         assert by_name == by_index
         # the first released state must follow the public start
         assert by_name.symbols[0] in four_state_chain.successors(2)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize(
+        "name, start",
+        [*(("four-state", f"s{i}") for i in range(4)),
+         *(("storybook", s) for s in ("anywhere", "green", "could"))],
+    )
+    def test_initial_output_equals_with_initial(
+        self, name, start, eps, four_state_chain, storybook_chain, sample_tokens
+    ):
+        # the benchmark starts a release through initial_output=, the CLI
+        # through with_initial: same words, same generator state after
+        chain, tokens = {
+            "four-state": (four_state_chain, ["s1", "s2", "s3", "s3", "s0"]),
+            "storybook": (storybook_chain, sample_tokens),
+        }[name]
+        word, config = chain.word(tokens), MechanismConfig(epsilon=eps, k=1, seed=17)
+        by_keyword, by_copy = config.rng(), config.rng()
+        moved = chain.with_initial(start)
+        for _ in range(20):
+            expected = privatize_markov_online(chain, word, config,
+                                               initial_output=start, rng=by_keyword)
+            assert privatize_markov_online(moved, word, config, rng=by_copy) == expected
+        assert by_copy.bit_generator.state == by_keyword.bit_generator.state
 
     def test_step_validates_indices(self, four_state_chain):
         pol = markov_online_policy(four_state_chain, 1.0, 1)

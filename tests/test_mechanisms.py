@@ -314,6 +314,12 @@ class TestOnlinePolicy:
         with pytest.raises(ValueError, match="alphabet size must be an integer"):
             OnlinePolicy(tau=0.5, alphabet_size=size)
 
+    @pytest.mark.parametrize("tau", [1.5, -0.25, float("nan")])
+    def test_tau_outside_the_unit_interval_refused(self, tau):
+        with pytest.raises(ValueError) as err:
+            OnlinePolicy(tau=tau, alphabet_size=3)
+        assert str(err.value) == "tau must lie in [0, 1]"
+
     def test_single_symbol_alphabet_keeps_input(self):
         pol = online_policy(1, 1.0, 1)
         assert pol.tau == 1.0
