@@ -89,9 +89,15 @@ class Alphabet:
 
     @classmethod
     def load(cls, path: str | Path) -> "Alphabet":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls._from_json(json.loads(Path(path).read_text(encoding="utf-8")),
+                              "alphabet JSON must be an array of token strings")
+
+    @classmethod
+    def _from_json(cls, data, message: str) -> "Alphabet":
+        """The alphabet a parsed JSON value lists; anything but an array of
+        strings is refused with ``message``."""
         if not isinstance(data, list) or not all(isinstance(t, str) for t in data):
-            raise ValueError("alphabet JSON must be an array of token strings")
+            raise ValueError(message)
         return cls(tuple(data))
 
 

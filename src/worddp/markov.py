@@ -261,15 +261,19 @@ class MarkovChain:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MarkovChain":
-        for key in ("states", "initial", "transitions"):
-            if key not in data:
-                raise ValueError(f"chain JSON is missing the {key!r} field")
-        states = Alphabet(tuple(data["states"]))
+        _require_fields(data, ("states", "initial", "transitions"), "chain JSON")
+        states = Alphabet._from_json(
+            data["states"], "chain JSON 'states' must be an array of state names"
+        )
+        transitions = data["transitions"]
+        if not isinstance(transitions, list):
+            raise ValueError("chain JSON 'transitions' must be an array of objects")
         matrix = np.zeros((len(states), len(states)))
         seen = set()
-        for entry in data["transitions"]:
-            src, dst, p = entry["from"], entry["to"], float(entry["p"])
-            if src not in states or dst not in states:
+        for i, entry in enumerate(transitions):
+            _require_fields(entry, ("from", "to", "p"), f"chain JSON transition {i}")
+            src, dst, p = entry["from"], entry["to"], entry["p"]
+            if not (_is_state(src, states) and _is_state(dst, states)):
                 raise ValueError(
                     f"transition references unknown state: {src!r} -> {dst!r}"
                 )
@@ -277,13 +281,18 @@ class MarkovChain:
             if pair in seen:
                 raise ValueError(f"duplicate transition {src!r} -> {dst!r}")
             seen.add(pair)
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise ValueError(
+                    f"transition {src!r} -> {dst!r} has probability {p!r}, "
+                    "not a number"
+                )
             if not 0.0 <= p <= 1.0:
                 raise ValueError(
                     f"transition {src!r} -> {dst!r} has probability {p} "
                     "outside [0, 1]"
                 )
             matrix[pair] = p
-        if data["initial"] not in states:
+        if not _is_state(data["initial"], states):
             raise ValueError(f"initial state {data['initial']!r} is unknown")
         return cls(states, matrix, data["initial"])
 
@@ -292,6 +301,20 @@ class MarkovChain:
         return cls.from_json_dict(
             json.loads(Path(path).read_text(encoding="utf-8"))
         )
+
+
+def _require_fields(data, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a chain-file value that is not an object holding ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing the {key!r} field")
+
+
+def _is_state(name, states: Alphabet) -> bool:
+    """Whether a chain-file value names one of ``states``."""
+    return isinstance(name, str) and name in states
 
 
 def tokenize(text: str, lowercase: bool = False) -> list[str]:

@@ -12,6 +12,9 @@ Two samplers share the same output law family:
 * :func:`privatize_online` perturbs one symbol at a time with a
   randomized-response rule, so symbols can be released as they arrive.
 
+Both take every position through :func:`_free_step`: keep the symbol with
+a given probability, else substitute one of the others uniformly.
+
 Both assume adjacency bounded by ``k`` mismatches and satisfy word-level
 epsilon-differential privacy.  Their public parameters ``(n, m, epsilon,
 k)`` pass :func:`worddp.core._check_params`, the rule every module shares.
@@ -160,24 +163,29 @@ def _match_probability(remaining: int, needed: int) -> float:
     return (remaining - needed) / remaining
 
 
+def _free_step(symbol: int, keep: float, m: int, rng: np.random.Generator) -> int:
+    """The per-position step of both free modes: keep ``symbol`` with
+    probability ``keep``, else draw one of the ``m - 1`` others uniformly.
+    Consumes one uniform, and one integer draw only on replacement."""
+    if rng.random() < keep:
+        return symbol
+    return (symbol + 1 + int(rng.integers(m - 1))) % m
+
+
 def _walk(word: Word, needed: int, rng: np.random.Generator) -> Word:
     """Uniform draw from the words at Hamming distance exactly ``needed``
     from ``word``: the exact-distance automaton's walk, with its path
     counts in closed form.
 
-    Consumes one uniform per position, kept with :func:`_match_probability`,
-    plus one integer draw selecting the substitute at each mismatch, in
-    left-to-right order.
+    Takes one :func:`_free_step` per position, left to right, keeping the
+    symbol with :func:`_match_probability`.
     """
     n, m = len(word), len(word.alphabet)
-    random, integers = rng.random, rng.integers
     symbols = []
     for i, x_i in enumerate(word.symbols):
-        if random() < _match_probability(n - i, needed):
-            symbols.append(x_i)
-        else:
-            symbols.append((x_i + 1 + int(integers(m - 1))) % m)
-            needed -= 1
+        out = _free_step(x_i, _match_probability(n - i, needed), m, rng)
+        symbols.append(out)
+        needed -= out != x_i  # a substitute always differs
     return _released(tuple(symbols), word.alphabet)
 
 
@@ -242,11 +250,12 @@ def _substitution(choices: int, tau: float) -> float:
     return (1.0 - tau) / (choices - 1) if choices > 1 else 0.0
 
 
+@lru_cache(maxsize=128, typed=True)
 def online_policy(m: int, epsilon: float, k: int) -> OnlinePolicy:
     """Strongest per-symbol retention rate that still meets the word-level
-    budget: ``tau = 1 / ((m-1) * exp(-epsilon/k) + 1)`` (:func:`_retention`).
-
-    Construction cost is O(1); the rule is the same at every position.
+    budget: ``tau = 1 / ((m-1) * exp(-epsilon/k) + 1)`` (:func:`_retention`),
+    the same at every position.  Cached on its public parameters, as
+    :func:`distance_distribution` is; the policy is immutable.
     """
     _check_params(epsilon, k, m=m)
     return OnlinePolicy(tau=_retention(m, exp(-epsilon / k)), alphabet_size=m)
@@ -255,23 +264,11 @@ def online_policy(m: int, epsilon: float, k: int) -> OnlinePolicy:
 def privatize_online_step(
     symbol: int, policy: OnlinePolicy, rng: np.random.Generator
 ) -> int:
-    """Privatize one symbol.
-
-    Consumes one uniform for the keep/replace decision and, only on
-    replacement, one integer draw selecting the substitute.
-    """
+    """Privatize one symbol by :func:`_free_step`, keeping it with
+    ``policy.tau``."""
     m = policy.alphabet_size
     symbol = _integer(symbol, "symbol {} outside alphabet of size {}", m, high=m - 1)
-    return _online_step(symbol, policy, rng)
-
-
-def _online_step(symbol: int, policy: OnlinePolicy, rng: np.random.Generator) -> int:
-    """:func:`privatize_online_step` for a symbol already checked."""
-    m = policy.alphabet_size
-    if rng.random() < policy.tau:
-        return symbol
-    offset = int(rng.integers(m - 1))
-    return (symbol + 1 + offset) % m
+    return _free_step(symbol, policy.tau, m, rng)
 
 
 def privatize_online(
@@ -282,7 +279,8 @@ def privatize_online(
     generator."""
     if rng is None:
         rng = config.rng()
-    policy = online_policy(len(word.alphabet), config.epsilon, config.k)
+    m = len(word.alphabet)
+    tau = online_policy(m, config.epsilon, config.k).tau
     # a Word's symbols are already checked
-    symbols = tuple(_online_step(s, policy, rng) for s in word.symbols)
+    symbols = tuple(_free_step(s, tau, m, rng) for s in word.symbols)
     return _released(symbols, word.alphabet)

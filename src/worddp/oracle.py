@@ -251,9 +251,9 @@ def verify_dp(
     ``chain.initial``; ``break_tau`` swaps a per-symbol mode's step table
     for the negative control's (see :func:`_step_table`).
 
-    Pairs are scanned in row-major order, in chunks.  The witness is the
-    first one-sided pair at its first one-sided output if there is one,
-    else the first pair reaching the largest ratio, at its first argmax.
+    Pairs are scanned once, in row-major order, in chunks; a one-sided
+    output has log-ratio inf.  The witness is the first pair reaching the
+    largest ratio, at its first argmax.
     A mode ignores the arguments it does not use.
     """
     alphabet, chain, _ = resolve_mode(kind, alphabet, chain)
@@ -265,30 +265,22 @@ def verify_dp(
         inputs = all_words(alphabet, n)
 
     laws, support = _law_matrix(kind, inputs, config, chain, break_tau)
-    positive = laws > 0.0
     x = _symbols(inputs)
     adjacent = (x[:, None] != x[None]).sum(axis=-1) <= config.k
     first, second = np.nonzero(np.triu(adjacent, 1))
 
     max_ratio, witness, zero_violations = 0.0, None, 0
     chunk = max(1, _SCAN_ELEMENTS // len(support))
-    # log 0 = -inf, and -inf - -inf = nan only where the mask below drops it
+    # every entry that is not positive, NaN included, has log -inf: a
+    # one-sided output differs by inf, and a shared zero gives nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_laws = np.log(laws)
+        log_laws = np.log(np.where(laws > 0.0, laws, 0.0))
         for lo in range(0, len(first), chunk):
-            a, b = first[lo : lo + chunk], second[lo : lo + chunk]
-            one_sided = positive[a] != positive[b]
-            count = int(np.count_nonzero(one_sided))
-            zero_violations += count
-            if count and max_ratio < np.inf:
-                max_ratio = np.inf
-                pair, out = divmod(int(one_sided.argmax()), len(support))
-                witness = (lo + pair, out)
-            if max_ratio == np.inf:
-                continue
+            diffs = np.abs(log_laws[first[lo : lo + chunk]]
+                           - log_laws[second[lo : lo + chunk]])
             # -1 marks outputs outside the pair's common support
-            both = positive[a] & positive[b]
-            diffs = np.where(both, np.abs(log_laws[a] - log_laws[b]), -1.0)
+            diffs[np.isnan(diffs)] = -1.0
+            zero_violations += int(np.count_nonzero(diffs == np.inf))
             local = diffs.max(axis=1)
             pair = int(local.argmax())
             if local[pair] > max_ratio:

@@ -47,6 +47,9 @@ class TestAlphabet:
         assert [ab.index(t) for t in ab.tokens] == [0, 1, 2]
         assert [ab.token(i) for i in range(3)] == list(ab.tokens)
 
+    def test_iterates_over_tokens_in_index_order(self):
+        assert list(Alphabet(("thank", "you", "Sam"))) == ["thank", "you", "Sam"]
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
             Alphabet(("a", "b", "a"))
@@ -102,6 +105,9 @@ class TestWord:
         assert w.tokens() == ("a", "c", "b")
         assert w.text() == "a c b"
         assert len(w) == 3
+
+    def test_iterates_over_symbol_indices(self):
+        assert list(Word((0, 2, 1), AB3)) == [0, 2, 1]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

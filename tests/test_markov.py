@@ -236,6 +236,26 @@ def chain_json(p: float = 1.0, **fields) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
+# (id, the chain_json fields, the message): chain files of the wrong shape
+MALFORMED_CHAINS = [
+    ("states-string", {"states": "ab"},
+     "chain JSON 'states' must be an array of state names"),
+    ("states-numbers", {"states": [1, 2]},
+     "chain JSON 'states' must be an array of state names"),
+    ("initial-array", {"initial": ["a"]}, "initial state ['a'] is unknown"),
+    ("transitions-number", {"transitions": 5},
+     "chain JSON 'transitions' must be an array of objects"),
+    ("transition-not-an-object", {"transitions": [["a", "b", 1.0]]},
+     "chain JSON transition 0 must be an object"),
+    ("transition-without-p", {"transitions": [{"from": "a", "to": "b"}]},
+     "chain JSON transition 0 is missing the 'p' field"),
+    ("probability-null", {"transitions": [{"from": "a", "to": "b", "p": None}]},
+     "transition 'a' -> 'b' has probability None, not a number"),
+    ("from-array", {"transitions": [{"from": ["a"], "to": "b", "p": 1.0}]},
+     "transition references unknown state: ['a'] -> 'b'"),
+]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -249,6 +269,11 @@ def chain_json(p: float = 1.0, **fields) -> dict:
           for p in (1.5, -0.25, float("nan"))),
         pytest.param(lambda: MarkovChain.from_json_dict(chain_json(initial="c")),
                      "initial state 'c' is unknown", id="unknown-initial"),
+        *(pytest.param(lambda fields=fields: MarkovChain.from_json_dict(
+              chain_json(**fields)), message, id=case)
+          for case, fields, message in MALFORMED_CHAINS),
+        pytest.param(lambda: MarkovChain.from_json_dict(["a", "b"]),
+                     "chain JSON must be an object", id="chain-not-an-object"),
         pytest.param(lambda: DistanceCounts(()),
                      "counts must be a nonempty nonnegative vector",
                      id="no-distance-counts"),

@@ -353,6 +353,15 @@ class TestOnlinePolicy:
             assert row.sum() == pytest.approx(1.0, abs=1e-12)
             assert row[sym] == pytest.approx(pol.tau, abs=1e-14)
 
+    def test_cached_on_public_parameters(self):
+        assert online_policy(7, 0.3, 2) is online_policy(7, 0.3, 2)
+        # typed, so an integral float size reaches the integer rule
+        with pytest.raises(ValueError, match="alphabet size m"):
+            online_policy(7.0, 0.3, 2)
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ValueError, match="epsilon"):
+                online_policy(7, -1.0, 2)
+
     def test_huge_alphabet_costs_nothing(self):
         start = time.perf_counter()
         pol = online_policy(10**6, 1.0, 1)
@@ -419,3 +428,41 @@ class TestPrivatizeOnline:
             [comb(n, d) * p**d * (1 - p) ** (n - d) * draws for d in range(n + 1)]
         )
         assert chi_square_pvalue(dist, expected) > 1e-4
+
+
+class TestStreamContract:
+    """A free-mode release reads one uniform per position, after the
+    distance's uniform in ``offline``, and one ``integers(m - 1)`` right
+    after the uniform of each substituted position, and nothing else; the
+    traced benchmark replays ``online`` step by step on it."""
+
+    @staticmethod
+    def replayed_state(seed: int, word: Word, out: Word, whole_word: bool) -> dict:
+        twin = make_rng(seed)
+        if whole_word:
+            twin.random()
+        for x, y in zip(word.symbols, out.symbols):
+            twin.random()
+            if x != y:
+                twin.integers(len(word.alphabet) - 1)
+        return twin.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 2, 50])
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 40.0])
+    @pytest.mark.parametrize("release", [privatize_offline, privatize_online])
+    def test_uniforms_and_substitute_draws(self, release, eps, m):
+        alphabet = Alphabet(tuple(f"t{i}" for i in range(m)))
+        cfg = MechanismConfig(epsilon=eps, k=1)
+        rnd = random.Random(m)
+        substituted = 0
+        for seed in range(30):
+            word = Word(tuple(rnd.randrange(m) for _ in range(1 + seed % 15)),
+                        alphabet)
+            rng = make_rng(seed)
+            out = release(word, cfg, rng)
+            substituted += hamming_distance(word, out)
+            assert rng.bit_generator.state == self.replayed_state(
+                seed, word, out, release is privatize_offline
+            )
+        # the substitute draws are exercised wherever a release has a choice
+        assert (substituted > 0) == (m > 1 and eps < 40.0)
