@@ -610,33 +610,18 @@ class TestEntryPoint:
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
         assert not (tmp_path / "rows.csv").exists()
 
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            pytest.param({"transitions": 5},
-                         "chain JSON 'transitions' must be an array of objects",
-                         id="transitions-number"),
-            pytest.param({"transitions": [{"from": "a", "to": "b"}]},
-                         "chain JSON transition 0 is missing the 'p' field",
-                         id="transition-without-p"),
-            pytest.param({"transitions": [{"from": "a", "to": "b", "p": None}]},
-                         "transition 'a' -> 'b' has probability None, not a number",
-                         id="probability-null"),
-            pytest.param({"initial": ["a"]}, "initial state ['a'] is unknown",
-                         id="initial-array"),
-        ],
-    )
-    def test_malformed_chain_file_exits_1(self, capsys, tmp_path, fields, message):
-        # any exception but SystemExit escapes run_cli: no traceback gets out
+    def test_malformed_chain_file_exits_1(self, capsys, tmp_path):
+        # any exception but SystemExit escapes run_cli: no traceback gets out;
+        # test_markov pins the message of every other malformed field
         path = tmp_path / "chain.json"
-        data = {"states": ["a", "b"], "initial": "a",
-                "transitions": [{"from": "a", "to": "b", "p": 1.0},
-                                {"from": "b", "to": "a", "p": 1.0}]}
-        path.write_text(json.dumps({**data, **fields}), encoding="utf-8")
+        path.write_text(json.dumps({"states": ["a", "b"], "initial": "a",
+                                    "transitions": 5}), encoding="utf-8")
         code, out, err = run_cli(capsys, "privatize", "--mode", "mc-online",
                                  "--epsilon", "1", "--chain", str(path),
                                  "--input", "a b")
-        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: chain JSON 'transitions' must be an array of objects\n"
+        )
 
     def test_closed_pipe_exits_141_silently(self, chain_file):
         # the reader closed its end before the command wrote anything

@@ -251,6 +251,10 @@ MALFORMED_CHAINS = [
      "chain JSON transition 0 is missing the 'p' field"),
     ("probability-null", {"transitions": [{"from": "a", "to": "b", "p": None}]},
      "transition 'a' -> 'b' has probability None, not a number"),
+    ("probability-string", {"transitions": [{"from": "a", "to": "b", "p": "0.5"}]},
+     "transition 'a' -> 'b' has probability '0.5', not a number"),
+    ("probability-bool", {"transitions": [{"from": "a", "to": "b", "p": True}]},
+     "transition 'a' -> 'b' has probability True, not a number"),
     ("from-array", {"transitions": [{"from": ["a"], "to": "b", "p": 1.0}]},
      "transition references unknown state: ['a'] -> 'b'"),
 ]
