@@ -56,6 +56,9 @@ class Alphabet:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if len(self.tokens) == 0:
             raise ValueError("alphabet must contain at least one token")
+        for token in self.tokens:
+            if not isinstance(token, str):
+                raise ValueError(f"alphabet token {token!r} is not a string")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("alphabet tokens must be distinct")
 

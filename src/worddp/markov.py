@@ -129,12 +129,13 @@ class MarkovChain:
         self.states = states
         self.matrix = mat
         self.initial = self._state_index(initial)
-        # one pass in row-major order: each row's successors come ascending
+        # one pass in row-major order, successors ascending; _walks reads the arrays
         rows, cols = np.nonzero(mat > 0)
-        ends = np.bincount(rows, minlength=m).cumsum().tolist()
-        cols = cols.tolist()
+        sizes = np.bincount(rows, minlength=m)
+        self._targets, self._firsts = cols, sizes.cumsum() - sizes
+        bounds, cols = self._firsts.tolist() + [len(cols)], cols.tolist()
         self._successors: list[tuple[int, ...]] = [
-            tuple(cols[a:b]) for a, b in zip([0] + ends, ends)
+            tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:])
         ]
         self._successor_sets = [frozenset(s) for s in self._successors]
         # the last input word's mc-offline plan, shared by every start
@@ -172,6 +173,8 @@ class MarkovChain:
     def _state_index(self, state: int | str) -> int:
         """Index of ``state``, given by name or by index."""
         if isinstance(state, str):
+            if state not in self.states:
+                raise KeyError(f"state {state!r} is not one of the chain's states")
             return self.states.index(state)
         return self._index(state)
 
@@ -225,14 +228,14 @@ class MarkovChain:
         ``guard`` the enumeration limit sees the count from the initial state
         at each length; no count falls as the length grows (every state has
         a successor), so an oversized ``n`` is refused at the first length
-        past the limit."""
+        past the limit.  A length is one reduceat on exact Python ints."""
         n = _integer(n, "word length must be an integer >= 1", low=1)
-        walks = [1] * self.n_states
+        walks = np.ones(self.n_states, dtype=object)
         for _ in range(n):
-            walks = [sum(map(walks.__getitem__, succ)) for succ in self._successors]
+            walks = np.add.reduceat(walks[self._targets], self._firsts)
             if guard:
                 _check_enumerable(walks[self.initial])
-        return walks
+        return walks.tolist()
 
     def feasible_words(self, n: int) -> Iterator[Word]:
         """Enumerate feasible words of length ``n`` in successor order."""
@@ -657,9 +660,11 @@ class MarkovOnlinePolicy:
     from ``s_prev`` the policy builds the CDF row over its successors for
     every true state at once, one row per reachable true state and one
     shared row for all the others.  What gets built therefore depends on
-    the released states only, never on the secret true state.  A row
-    omits its last boundary, so a filled entry holds ``(N + 1) * (N - 1)``
-    floats.
+    the released states only, never on the secret true state.  The rows
+    depend only on ``N``, so the policy builds them once per successor
+    count: ``N + 1`` rows of ``N - 1`` floats (a row omits its last
+    boundary), which every entry with ``N`` successors points at.  A
+    filled entry is one list of row pointers, one per state.
     """
 
     def __init__(self, chain: MarkovChain, epsilon: float, k: int):
@@ -670,6 +675,8 @@ class MarkovOnlinePolicy:
         self._decay = exp(-epsilon / k)
         # previous output -> (its successors, CDF row per true state)
         self._table: dict[int, tuple[tuple[int, ...], list[list[float]]]] = {}
+        # successor count -> (the row per place of a kept state, the shared row)
+        self._shapes: dict[int, tuple[list[list[float]], list[float]]] = {}
 
     def tau(self, previous_output: int) -> float:
         """Retention probability of a reachable true state."""
@@ -713,15 +720,23 @@ class MarkovOnlinePolicy:
         rounding gap below 1 included), as a clamped search would.
         """
         succs = self.chain._successors[previous_output]
-        kept, other, unconditioned = self._masses(previous_output)
-        shared = list(accumulate([unconditioned] * (len(succs) - 1)))
+        kept_rows, shared = self._shapes.get(len(succs)) or self._shape(previous_output)
         rows = [shared] * self.chain.n_states
-        for place, true_state in enumerate(succs):
-            masses = [other] * len(succs)
-            masses[place] = kept
-            rows[true_state] = list(accumulate(masses[:-1]))
+        for true_state, row in zip(succs, kept_rows):
+            rows[true_state] = row
         entry = self._table[previous_output] = (succs, rows)
         return entry
+
+    def _shape(self, previous_output: int) -> tuple[list[list[float]], list[float]]:
+        """The rows every entry with ``previous_output``'s successor count
+        shares: one per place of a kept true state, then an unreachable one's."""
+        kept, other, unconditioned = self._masses(previous_output)
+        others = [other] * (len(self.chain._successors[previous_output]) - 1)
+        shape = self._shapes[len(others) + 1] = (
+            [list(accumulate(others[:p] + [kept] + others[p:]))[:-1]
+             for p in range(len(others) + 1)],
+            list(accumulate([unconditioned] * len(others))))
+        return shape
 
     def _walk(self, symbols: Sequence[int], state: int,
               rng: np.random.Generator) -> list[int]:

@@ -112,6 +112,36 @@ def loop_suffix_table(chain: MarkovChain, word: Word) -> list[list[list[int]]]:
     return table
 
 
+def loop_walks(chain: MarkovChain, n: int) -> list[int]:
+    """Number of length-``n`` walks from each state, by the plain loop over
+    lengths, states and successors."""
+    walks = [1] * chain.n_states
+    for _ in range(n):
+        step = []
+        for state in range(chain.n_states):
+            total = 0
+            for succ in chain.successors(state):
+                total += walks[succ]
+            step.append(total)
+        walks = step
+    return walks
+
+
+def loop_online_entry(policy, previous_output: int):
+    """``previous_output``'s entry of a ``MarkovOnlinePolicy`` table as each
+    entry used to build its own rows: one ``accumulate`` per reachable true
+    state, and one row that every other true state shares."""
+    succs = policy.chain.successors(previous_output)
+    kept, other, unconditioned = policy._masses(previous_output)
+    shared = list(itertools.accumulate([unconditioned] * (len(succs) - 1)))
+    rows = [shared] * policy.chain.n_states
+    for place, true_state in enumerate(succs):
+        masses = [other] * len(succs)
+        masses[place] = kept
+        rows[true_state] = list(itertools.accumulate(masses[:-1]))
+    return succs, rows
+
+
 def loop_distance_counts(n: int, m: int, j: int) -> dict[tuple[int, int], int]:
     """Accepting-path counts ``V(i, e)`` of the exact-distance automaton
     for length ``n``, ``m`` symbols and target ``j``, by the backward table

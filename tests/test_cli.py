@@ -610,6 +610,26 @@ class TestEntryPoint:
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["privatize", "--mode", "mc-online", "--input", "s1 s2",
+                          "--initial-output", "zz"], id="privatize-initial-output"),
+            pytest.param(["experiment", "--mode", "mc-online", "--input", "s1 s2",
+                          "--initial-state", "zz", "--out", "rows.csv"],
+                         id="experiment-initial-state"),
+        ],
+    )
+    def test_unknown_chain_state_refused(self, capsys, tmp_path, monkeypatch,
+                                         chain_file, args):
+        # the message names the chain's states and is printed unquoted
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *args, "--epsilon", "1", "--chain", chain_file)
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: state 'zz' is not one of the chain's states\n"
+        )
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_malformed_chain_file_exits_1(self, capsys, tmp_path):
         # any exception but SystemExit escapes run_cli: no traceback gets out;
         # test_markov pins the message of every other malformed field

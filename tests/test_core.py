@@ -91,6 +91,10 @@ ARRAY_OF_STRINGS = "alphabet JSON must be an array of token strings"
                      id="alphabet-file-number-token"),
         pytest.param(lambda tmp: encode_word([], AB3),
                      "cannot encode an empty token sequence", id="encode-empty"),
+        pytest.param(lambda tmp: Alphabet(("a", 1)), "alphabet token 1 is not a string",
+                     id="alphabet-number-token"),
+        pytest.param(lambda tmp: MarkovChain([1, 2], np.eye(2)),
+                     "alphabet token 1 is not a string", id="chain-number-states"),
     ],
 )
 def test_outside_input_refused(tmp_path, call, message):

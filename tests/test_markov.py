@@ -45,7 +45,9 @@ from helpers import (
     TopUniformRng,
     brute_feasible_words,
     chi_square_pvalue,
+    loop_online_entry,
     loop_suffix_table,
+    loop_walks,
     random_chain,
 )
 
@@ -830,6 +832,42 @@ class TestSlotWidthCache:
         assert sorted(chain._widths) == [5, 12, 30]
 
 
+WALK_LENGTHS = (*range(1, 9), 15, 60, 200)
+
+
+def walk_count_chains(four_state_chain, storybook_chain) -> list[MarkovChain]:
+    """The four-state and storybook chains and 24 random ones of 2 to 7
+    states, each a new structure with empty caches."""
+    chains = [four_state_chain, storybook_chain]
+    chains += [random_chain(seed, 2 + seed % 6) for seed in range(24)]
+    return [MarkovChain(c.states, c.matrix, c.initial) for c in chains]
+
+
+class TestWalkCounts:
+    """The walk-count DP equals the plain loop, exactly, at every length."""
+
+    def test_counts_equal_the_loop_reference(self, four_state_chain, storybook_chain):
+        for chain in walk_count_chains(four_state_chain, storybook_chain):
+            for n in WALK_LENGTHS:
+                counts = chain._walks(n)
+                assert counts == loop_walks(chain, n), (chain.n_states, n)
+                assert {type(c) for c in counts} == {int}
+                assert chain.count_feasible_words(n) == counts[chain.initial]
+
+    def test_counts_pass_the_int64_range(self, storybook_chain):
+        # so a fixed-width integer DP would have wrapped
+        assert max(storybook_chain._walks(60)) > 2**63
+
+    def test_slot_width_is_the_loop_walks_bit_length(
+        self, four_state_chain, storybook_chain
+    ):
+        rnd = random.Random(25)
+        for chain in walk_count_chains(four_state_chain, storybook_chain):
+            for n in WALK_LENGTHS:
+                plan = _word_plan(chain, walk(chain, rnd, n))
+                assert plan._width == max(loop_walks(chain, n)).bit_length()
+
+
 class TestWordPlanLaws:
     def test_laws_bounded_under_distinct_budgets(self, storybook_chain, sample_tokens):
         # a plan kept one law per epsilon it ever saw
@@ -1039,7 +1077,8 @@ class TestSharedStructure:
         moved = chain.with_initial("s2")
         assert (moved.initial, chain.initial) == (2, 0)
         for name in ("states", "matrix", "_successors", "_successor_sets",
-                     "_word_plans", "_widths", "_online_policies"):
+                     "_targets", "_firsts", "_word_plans", "_widths",
+                     "_online_policies"):
             assert getattr(moved, name) is getattr(chain, name), name
         fresh = MarkovChain(chain.states, chain.matrix, "s2")
         assert fresh._word_plans is not chain._word_plans
@@ -1376,6 +1415,32 @@ class TestMarkovOnlineTable:
                     assert rows[true_state] == np.cumsum(probs)[:-1].tolist()
         assert unreachable > 0
         assert forced > 0 or name == "four-state"
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0, 5.0, 40.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_entries_equal_the_per_entry_construction(
+        self, storybook_chain, epsilon, k
+    ):
+        chains = [storybook_chain] + [random_chain(s, 3 + s % 5) for s in range(8)]
+        repeats = 0
+        for chain in chains:
+            pol = MarkovOnlinePolicy(chain, epsilon, k)
+            kept_rows, shared_rows = {}, {}
+            for prev in range(chain.n_states):
+                succs, rows = pol._rows(prev)
+                want_succs, want_rows = loop_online_entry(pol, prev)
+                assert succs == want_succs
+                # bit for bit, not only equal as floats
+                assert ([[x.hex() for x in row] for row in rows]
+                        == [[x.hex() for x in row] for row in want_rows])
+                # an entry points at the rows of its successor count
+                n_succ = len(succs)
+                repeats += n_succ in kept_rows
+                kept = kept_rows.setdefault(n_succ, [rows[s] for s in succs])
+                assert all(rows[s] is row for s, row in zip(succs, kept))
+                for t in set(range(chain.n_states)) - set(succs):
+                    assert rows[t] is shared_rows.setdefault(n_succ, rows[t])
+        assert repeats > 0
 
     def test_seeded_outputs_match_golden_file(
         self, storybook_chain, four_state_chain
