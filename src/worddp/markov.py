@@ -6,33 +6,28 @@ positive transition probability.  Only the support of the chain matters to
 the mechanisms; the probability values are carried for estimation and
 serialization.
 
-The privatizers and the exact-distance automaton, which shares the free
-one's recognizer, mirror the free-alphabet ones but never leave the feasible
-set: the whole-word sampler weights each distance class by the number of
-feasible words in it, and the per-symbol sampler redistributes mass over the
-successors of the previously released state.
+The exact-distance automaton, which shares the free one's recognizer, counts
+the feasible words at each distance from a reference.  The whole-word
+sampler draws from the exponential mechanism over the feasible words, and
+the per-symbol sampler redistributes mass over the successors of the
+previously released state; neither leaves the feasible set.
 
-The whole-word sampler's plan belongs to one (chain, input word): a
-suffix-count table packing each (position, state) row of exact counts into
-one Python int, with a slot width bounded by the chain's walk counts so
-that no slot overflows (a chain computes it once per word length, since no
-input word changes it); the distance law per (start, epsilon, k); and the
-walk's CDF rows, keyed by position, mismatches still needed and state, so
-that every start and distance shares them, each linked to the rows its
-successors lead to.  A chain keeps the plan of the last input word only,
-and a held plan also answers whether the input is feasible.  The
-per-symbol sampler's plan depends on public data only: a chain keeps one
-policy per recent (epsilon, k), which fills its CDF rows per previously
-released state.  A start is a parameter of the chain, not a copy of it:
-every :meth:`MarkovChain.with_initial` of a chain shares its structure and
-these caches.
+The whole-word sampler's plan belongs to one (chain, input word): per
+(epsilon, k), the CDF rows of a forward walk over backward messages, every
+position's built before the first walk, so a release reads the plan and
+changes nothing.  Exact counts (the packed suffix table) are built only when
+something asks for them.  A chain keeps the plan of the last input word
+only.  The per-symbol sampler's plan depends on public data only: a chain
+keeps one policy per recent (epsilon, k), which fills its CDF rows per
+previously released state.  A start is a parameter of the chain, not a copy
+of it: every :meth:`MarkovChain.with_initial` of a chain shares its
+structure and these caches.
 
-Each release reads one block of uniforms, which numpy defines to equal as
-many scalar draws, generator state after included; so every seeded output
-equals the step-by-step one.  ``mc-online`` reads n, one per symbol;
-``mc-offline`` reads n + 1, the distance's and then one per position.
-The free modes keep one scalar draw per symbol: a substitute's integer
-draw follows its uniform, so a block would change their seeded streams.
+Each release reads one block of n uniforms, one per symbol, which numpy
+defines to equal as many scalar draws, generator state after included; so
+every seeded output equals the step-by-step one.  The free modes keep one
+scalar draw per symbol: a substitute's integer draw follows its uniform, so
+a block would change their seeded streams.
 """
 
 from __future__ import annotations
@@ -41,11 +36,13 @@ import copy
 import json
 import logging
 import string
+from array import array
 from bisect import bisect_right
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from math import exp, log
+from functools import cached_property
+from itertools import accumulate
+from math import exp
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -55,8 +52,7 @@ from worddp.automaton import _DistanceLanguage, _check_enumerable, _enumerate
 from worddp.core import (
     Alphabet, MechanismConfig, Word, _check_params, _integer, _released, encode_word,
 )
-from worddp.mechanisms import (DistanceDistribution, _class_law, _retention,
-                               _substitution)
+from worddp.mechanisms import _retention, _substitution
 
 __all__ = [
     "InfeasibleWordError",
@@ -76,8 +72,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _ROW_SUM_TOL = 1e-9
-# (epsilon, k) pairs a chain keeps an ``mc-online`` policy for, and
-# (start, epsilon, k) triples a word plan keeps an ``mc-offline`` law for.
+_LENGTH_MESSAGE = "word length must be an integer >= 1"
+# (epsilon, k) pairs a chain keeps an ``mc-online`` policy for and a word
+# plan keeps ``mc-offline`` walk rows for, and word lengths a chain keeps
+# walk counts for.
 _ONLINE_POLICY_LIMIT = 8
 
 
@@ -129,19 +127,24 @@ class MarkovChain:
         self.states = states
         self.matrix = mat
         self.initial = self._state_index(initial)
-        # one pass in row-major order, successors ascending; _walks reads the arrays
+        # one pass in row-major order, successors ascending: the chain's edges,
+        # which _walks and the mc-offline rows read as arrays
         rows, cols = np.nonzero(mat > 0)
         sizes = np.bincount(rows, minlength=m)
         self._targets, self._firsts = cols, sizes.cumsum() - sizes
-        bounds, cols = self._firsts.tolist() + [len(cols)], cols.tolist()
+        # each edge's cell in a (state, rank among its successors) grid
+        self._grid = np.arange(sizes.max()) < sizes[:, None]
+        bounds, self._edges = self._firsts.tolist() + [len(cols)], cols.tolist()
+        # each state's span of edges, without its last one
+        self._lo, self._hi = bounds[:-1], [b - 1 for b in bounds[1:]]
         self._successors: list[tuple[int, ...]] = [
-            tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:])
+            tuple(self._edges[a:b]) for a, b in zip(bounds, bounds[1:])
         ]
         self._successor_sets = [frozenset(s) for s in self._successors]
         # the last input word's mc-offline plan, shared by every start
         self._word_plans: dict[tuple[int, ...], _WordPlan] = {}
-        # word length -> mc-offline slot width, which no input word changes
-        self._widths: dict[int, int] = {}
+        # word length -> walk counts from each state, which no input word changes
+        self._walk_cache: OrderedDict[tuple[int], list[int]] = OrderedDict()
         self._online_policies: OrderedDict[
             tuple[float, int], "MarkovOnlinePolicy"
         ] = OrderedDict()
@@ -221,7 +224,13 @@ class MarkovChain:
 
     def count_feasible_words(self, n: int) -> int:
         """Exact number of feasible words of length ``n``."""
-        return self._walks(n)[self.initial]
+        return self._walk_counts(n)[self.initial]
+
+    def _walk_counts(self, n: int) -> list[int]:
+        """:meth:`_walks`, kept for the ``_ONLINE_POLICY_LIMIT`` most recent
+        lengths: one DP per chain structure and length serves every start."""
+        return _cached(self._walk_cache, (_integer(n, _LENGTH_MESSAGE, low=1),),
+                       self._walks)
 
     def _walks(self, n: int, guard: bool = False) -> list[int]:
         """Number of length-``n`` walks from each state, exactly.  With
@@ -229,7 +238,7 @@ class MarkovChain:
         at each length; no count falls as the length grows (every state has
         a successor), so an oversized ``n`` is refused at the first length
         past the limit.  A length is one reduceat on exact Python ints."""
-        n = _integer(n, "word length must be an integer >= 1", low=1)
+        n = _integer(n, _LENGTH_MESSAGE, low=1)
         walks = np.ones(self.n_states, dtype=object)
         for _ in range(n):
             walks = np.add.reduceat(walks[self._targets], self._firsts)
@@ -404,10 +413,10 @@ class DistanceCounts:
 
 
 def _cached(cache: OrderedDict, key, build):
-    """``cache[key]`` from an LRU cache of ``_ONLINE_POLICY_LIMIT`` small
-    entries (policies and laws), calling ``build(*key)`` on a miss.  It
-    evicts only after ``build`` returns, so a refused build leaves the cache
-    as it was."""
+    """``cache[key]`` from an LRU cache of ``_ONLINE_POLICY_LIMIT`` entries
+    (policies, walk counts and walk rows), calling ``build(*key)`` on a
+    miss.  It evicts only after ``build`` returns, so a refused build leaves
+    the cache as it was."""
     hit = cache.get(key)
     if hit is not None:
         cache.move_to_end(key)
@@ -420,60 +429,69 @@ def _cached(cache: OrderedDict, key, build):
 
 class _WordPlan:
     """Everything ``mc-offline`` computes for one (chain structure, input
-    word): the packed suffix table, the distance law per (start, epsilon,
-    k), and the linked CDF rows of the uniform walk.  A step's successor
-    weights depend only on the position ``i``, the mismatches still
-    ``needed`` and the state, so one row keyed by ``(i, needed, state)``
-    serves every start and every target distance.  As in
-    :meth:`MarkovOnlinePolicy._rows`, a row omits its last boundary.
+    word): the walk's CDF rows per (epsilon, k), and the packed suffix
+    table, built only when something asks for counts: all of it for
+    :meth:`count`, one row at a time for :meth:`counts`.
 
-    Rows are built lazily, and each row links each successor it can take
-    to the row that follows it, filled the first time that branch is taken
-    and shared through ``_rows``.  So a warm step is one ``bisect_right``
-    and two list reads (the successor and the next row); only the row at
-    position 0 is looked up by key.  The rows a walk has filled depend on
-    earlier releases, which is the timing channel the README describes.
+    The release samples the exponential mechanism over the feasible words,
+    P(y) proportional to ``w**d(x, y)`` with ``w = exp(-epsilon/(2k))``, by
+    backward messages and a forward walk: with ``beta[n] = 1`` and
+    ``beta[i](s)`` the sum over the successors ``t`` of ``s`` of
+    ``w**[t != x_i] * beta[i+1](t)`` (scaled to a largest entry of 1), the
+    walk steps from ``s`` to ``t`` in proportion to that term.  A
+    position's rows are the cumulative terms over each state's successors
+    (one padded 2-D ``cumsum``) over their total, in one ``array('d')`` laid
+    out as the chain's edges.  A step searches its state's span without the
+    last boundary, so the last successor takes the rounding gap below 1,
+    and a successor of zero weight is never drawn.  Every start shares the
+    rows, all built before the first walk: a release changes nothing.
 
-    ``table[i][s]`` packs the feasible completions from position ``i`` in
+    ``_table[i][s]`` packs the feasible completions from position ``i`` in
     state ``s`` into one Python int: slot ``q`` (bits ``q*B`` up to
     ``(q+1)*B``) counts those that match the rest of the word in ``q``
-    places, so mismatch it in ``n - i - q``.  Going back one position, only
-    the reference symbol's row moves up a slot (one shift by ``B`` bits),
-    and the sum over successors adds whole packed rows with big-int
-    arithmetic.
-
-    Exactness: every slot of ``table[i][s]``, and every partial sum formed
-    while building it, is at most the number of length-``n - i`` walks
-    from ``s``.  That number never falls as the length grows (every state
-    has a successor), so the largest number of length-``n`` walks from any
-    state bounds every slot, and ``B`` is its bit length: no slot carries
-    into the next.  ``B`` depends on the chain and ``n`` only, so the chain
-    structure computes it for the first plan of each length and keeps it.
+    places.  Going back one position, only the reference symbol's row moves
+    up a slot, and the sum over successors adds whole packed rows.  Every
+    slot, and every partial sum formed while building it, is at most the
+    number of length-``n - i`` walks from ``s``, which never falls as the
+    length grows (every state has a successor); so ``B``, the bit length of
+    the largest number of length-``n`` walks, keeps every slot exact.
     """
 
     def __init__(self, chain: MarkovChain, word: Word):
-        successors, n = chain._successors, len(word)
-        width = chain._widths.get(n)
-        if width is None:
-            width = chain._widths[n] = max(chain._walks(n)).bit_length()
-        row = [1] * chain.n_states
-        table = [row]
-        for target in reversed(word.symbols):
+        self._n, symbols = len(word), word.symbols
+        self._symbols, self._successors = symbols, chain._successors
+        self._targets, self._grid = chain._targets, chain._grid
+        # the walk counts from each state, which the identity check reads
+        self._walks = chain._walk_counts(self._n)
+        self._width = max(self._walks).bit_length()
+        self._mask = (1 << self._width) - 1
+        # the first symbol if the rest of the word is feasible, else None
+        follows = chain._successor_sets
+        self._first = None if any(
+            b not in follows[a] for a, b in zip(symbols, symbols[1:])) else symbols[0]
+        # (epsilon, k) -> the CDF rows of every position, see _levels
+        self._cdfs: OrderedDict[tuple[float, int], list[array]] = OrderedDict()
+
+    def _suffix_rows(self) -> Iterator[list[int]]:
+        """The packed suffix table's rows, from position n back to 0."""
+        width, successors = self._width, self._successors
+        row = [1] * len(successors)
+        yield row
+        for target in reversed(self._symbols):
             moved = row.copy()
             moved[target] = row[target] << width
             row = [sum(map(moved.__getitem__, succ)) for succ in successors]
-            table.append(row)
-        table.reverse()
-        self._table = table
-        self._width = width
-        self._mask = (1 << width) - 1
-        self._n = n
-        self._symbols = word.symbols
-        self._successors = successors
-        self._states = chain.states
-        self._laws: OrderedDict[tuple, DistanceDistribution] = OrderedDict()
-        # (i, needed, state) -> its walk row, see _row
-        self._rows: dict[tuple[int, int, int], tuple] = {}
+            yield row
+
+    @cached_property
+    def _table(self) -> list[list[int]]:
+        """Every position's packed row, built on the first :meth:`count`."""
+        return list(self._suffix_rows())[::-1]
+
+    @cached_property
+    def _first_row(self) -> list[int]:
+        """Position 0's packed row, from a pass that holds one row at a time."""
+        return deque(self._suffix_rows(), maxlen=1)[0]
 
     def count(self, i: int, needed: int, state: int) -> int:
         """Feasible completions of positions ``i`` onward from ``state``
@@ -485,78 +503,41 @@ class _WordPlan:
 
     def counts(self, start: int) -> DistanceCounts:
         """Feasible words after ``start`` at each distance from the word."""
+        packed, width, n = self._first_row[start], self._width, self._n
         return DistanceCounts(
-            tuple(self.count(0, r, start) for r in range(self._n + 1))
-        )
+            tuple((packed >> ((n - r) * width)) & self._mask for r in range(n + 1)))
 
-    def law(self, start: int, epsilon: float, k: int) -> DistanceDistribution:
-        """Output-distance law after ``start``: each class size times
-        ``exp(-eps*l/(2k))``, kept for the ``_ONLINE_POLICY_LIMIT`` most
-        recent (start, epsilon, k)."""
-        return _cached(self._laws, (start, epsilon, k), self._law)
+    def cdfs(self, epsilon: float, k: int) -> list[array]:
+        """The walk's CDF rows for ``(epsilon, k)``, one array per position,
+        kept for the ``_ONLINE_POLICY_LIMIT`` most recent pairs."""
+        return _cached(self._cdfs, (epsilon, k), self._levels)
 
-    def _law(self, start: int, epsilon: float, k: int) -> DistanceDistribution:
+    def _levels(self, epsilon: float, k: int) -> list[array]:
         _check_params(epsilon, k)
-        counts = self.counts(start)
-        support = counts.support()
-        if support == (0,):
-            logger.warning(
-                "chain admits no feasible word other than the input; the "
-                "whole-word mechanism degenerates to the identity and "
-                "provides no privacy"
-            )
-        log_sizes = np.full(counts.n + 1, -np.inf)
-        for l in support:
-            # log of an exact integer count; safe for counts beyond float range
-            log_sizes[l] = log(counts.counts[l])
-        return _class_law(log_sizes, epsilon, k)
+        levels = []
+        # w is 0.0 once it underflows, and the walk echoes the input
+        for cum in self._messages(exp(-epsilon / (2.0 * k))):
+            totals = cum[:, -1:]
+            # a state no walk enters at this position may have total 0
+            rows = np.divide(cum, totals, out=np.ones_like(cum), where=totals > 0)
+            levels.append(array("d", rows[self._grid].tobytes()))
+        levels.reverse()
+        return levels
 
-    def _row(self, i: int, needed: int, state: int) -> tuple:
-        """The walk row at ``(i, needed, state)``: the successors with
-        completions, the CDF over them, one link per successor (``None``
-        until that branch is first taken) and the row's own key."""
-        here = self.count(i, needed, state)
-        target = self._symbols[i]
-        succs = []
-        weights = []
-        for s in self._successors[state]:
-            w = self.count(i + 1, needed if s == target else needed - 1, s)
-            if w > 0:
-                succs.append(s)
-                weights.append(w / here)
-        return (tuple(succs), list(accumulate(weights[:-1])),
-                [None] * len(succs), (i, needed, state))
-
-    def _stored(self, key: tuple[int, int, int]) -> tuple:
-        """The row under ``key``, built and stored on first use."""
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = self._row(*key)
-        return row
-
-    def _link(self, row: tuple, j: int) -> tuple:
-        """The row after taking ``row``'s successor ``j``, linked into it."""
-        succs, _, links, (i, needed, _) = row
-        state = succs[j]
-        if state != self._symbols[i]:
-            needed -= 1
-        links[j] = after = self._stored((i + 1, needed, state))
-        return after
-
-    def _walk(self, start: int, distance: int, uniforms: Iterator[float]) -> Word:
-        """The walk from ``start`` at ``distance`` that the next n of
-        ``uniforms`` drive.  A warm step reads its successor and the next
-        row from the row it is in; the last step links nowhere."""
-        row = self._stored((0, distance, start))
-        symbols = []
-        for u in islice(uniforms, self._n - 1):
-            succs, cdf, links, _ = row
-            j = bisect_right(cdf, u)
-            symbols.append(succs[j])
-            row = links[j] or self._link(row, j)
-        succs, cdf, _, _ = row
-        symbols.append(succs[bisect_right(cdf, next(uniforms))])
-        return _released(tuple(symbols), self._states)
+    def _messages(self, w: float) -> Iterator[np.ndarray]:
+        """Per position, from the last: the cumulative sums of each state's
+        successor weights ``w**[t != x_i] * beta[i+1](t)`` on the padded
+        grid, whose last column is ``beta[i]``."""
+        grid, targets = self._grid, self._targets
+        beta = np.ones(grid.shape[0])
+        for target in reversed(self._symbols):
+            weight = beta * w
+            weight[target] = beta[target]
+            pad = np.zeros(grid.shape)
+            pad[grid] = weight[targets]
+            cum = pad.cumsum(axis=1)
+            yield cum
+            beta = cum[:, -1] / cum[:, -1].max()
 
 
 def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
@@ -564,7 +545,7 @@ def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
 
     A chain keeps one plan, the last input word's, which every start of
     the chain shares.  Another word clears it before its own plan is
-    built, so at most one suffix table per chain structure is alive.
+    built, so at most one plan per chain structure is alive.
     """
     chain._check_word(word)
     plans = chain._word_plans
@@ -593,8 +574,7 @@ class ProductDistanceAutomaton(_DistanceLanguage):
     sampling makes every such word equally likely.
 
     The automaton is a view on the word's plan: its path counts are the
-    plan's counts with ``j - e`` mismatches still needed, and its sampler
-    is the walk ``privatize_markov_offline`` takes.
+    plan's exact counts with ``j - e`` mismatches still needed.
     """
 
     def __init__(self, chain: MarkovChain, word: Word, distance: int):
@@ -610,9 +590,18 @@ class ProductDistanceAutomaton(_DistanceLanguage):
         return self._count(i, self.distance - e, state)
 
     def sample(self, rng: np.random.Generator) -> Word:
-        """Uniform draw from the accepted language: the release walk."""
-        uniforms = iter(rng.random(self._n).tolist())
-        return self._plan._walk(self._start, self.distance, uniforms)
+        """Uniform draw from the accepted language, one uniform per position
+        from one block: each step's CDF runs over its successors' exact
+        completions, without its last boundary."""
+        count, state, needed, symbols = self._count, self._start, self.distance, []
+        for i, u in enumerate(rng.random(self._n).tolist()):
+            target, here = self.word.symbols[i], count(i, needed, state)
+            steps = [(s, c / here) for s in self._next(state)
+                     if (c := count(i + 1, needed - (s != target), s))]
+            state = steps[bisect_right(list(accumulate(w for _, w in steps[:-1])), u)][0]
+            needed -= state != target
+            symbols.append(state)
+        return _released(tuple(symbols), self.chain.states)
 
 
 def privatize_markov_offline(
@@ -623,10 +612,10 @@ def privatize_markov_offline(
 ) -> Word:
     """Release a feasible privatized word for a feasible input.
 
-    Reads one block of n + 1 uniforms: distance, then walk.  The first
-    picks the output distance from the feasibility-weighted law, as
-    :meth:`DistanceDistribution.sample` would, and the other n walk the
-    word's plan to a uniform feasible word at that distance.  Raises
+    Samples the exponential mechanism over the feasible words, each output
+    ``y`` with probability proportional to ``exp(-eps*d(x, y)/(2k))``, by
+    one walk over the plan's CDF rows for ``(epsilon, k)``; it reads one
+    block of n uniforms, one per position.  Raises
     :class:`InfeasibleWordError` for inputs the chain cannot generate,
     before any plan is built or dropped.
     """
@@ -634,15 +623,21 @@ def privatize_markov_offline(
     plan = None
     if word.alphabet is chain.states:
         plan = chain._word_plans.get(word.symbols)
-    # a held plan counts the input itself: 1 exactly when it is feasible
-    if plan is None or not plan.count(0, 0, start):
+    if plan is None or plan._first not in chain._successor_sets[start]:
         chain.require_feasible(word)
         plan = _word_plan(chain, word)
+    if plan._walks[start] == 1:
+        logger.warning("chain admits no feasible word other than the input; the "
+                       "whole-word mechanism degenerates to the identity and "
+                       "provides no privacy")
     if rng is None:
         rng = config.rng()
-    law = plan.law(start, config.epsilon, config.k)
-    uniforms = iter(rng.random(plan._n + 1).tolist())
-    return plan._walk(start, bisect_right(law._cdf, next(uniforms)), uniforms)
+    edges, firsts, lasts = chain._edges, chain._lo, chain._hi
+    state, symbols = start, []
+    for cdf, u in zip(plan.cdfs(config.epsilon, config.k), rng.random(plan._n).tolist()):
+        state = edges[bisect_right(cdf, u, firsts[state], lasts[state])]
+        symbols.append(state)
+    return _released(tuple(symbols), chain.states)
 
 
 # -- per-symbol mechanism ------------------------------------------------------

@@ -12,6 +12,7 @@ import itertools
 import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from math import log
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +22,7 @@ from worddp.analytics import MODES, resolve_mode
 from worddp.automaton import _check_enumerable
 from worddp.core import Alphabet, MechanismConfig, Word, _integer, hamming_distance
 from worddp.markov import MarkovChain, MarkovOnlinePolicy, _WordPlan
-from worddp.mechanisms import (_logsumexp, _match_probability, _substitution,
+from worddp.mechanisms import (_class_law, _logsumexp, _match_probability, _substitution,
                                distance_distribution, online_policy)
 
 __all__ = [
@@ -223,8 +224,9 @@ def _law_matrix(
         for word in inputs:
             chain.require_feasible(word)
             # not through the chain's cache, which would evict its release plans
-            plan = _WordPlan(chain, word)
-            dist, counts = plan.law(chain.initial, eps, k), plan.counts(chain.initial)
+            counts = _WordPlan(chain, word).counts(chain.initial)
+            # each class size times exp(-eps*d/(2k)), from the exact counts' logs
+            dist = _class_law(np.array([log(c) if c else -np.inf for c in counts]), eps, k)
             # step ratios telescope: dist[d] splits evenly over the counts[d] words
             by_distance.append(
                 [dist[d] * (1 / counts[d]) if counts[d] else 0.0 for d in range(n + 1)]

@@ -8,6 +8,7 @@ and samplers under test.
 from __future__ import annotations
 
 import itertools
+from math import log
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from worddp import Alphabet, MarkovChain, Word, hamming_distance
 from worddp.markov import _word_plan, markov_online_policy
 from worddp.mechanisms import (
     OnlinePolicy,
+    _class_law,
     _match_probability,
     distance_distribution,
     online_policy,
@@ -223,9 +225,11 @@ def _loop_markov_offline_law(chain, word: Word, config) -> OutputDistribution:
     n = len(word)
     _check_exact_size(n, chain.n_states)
     chain.require_feasible(word)
-    plan = _word_plan(chain, word)
-    dist = plan.law(chain.initial, config.epsilon, config.k)
-    counts = plan.counts(chain.initial)
+    counts = _word_plan(chain, word).counts(chain.initial)
+    log_sizes = np.full(n + 1, -np.inf)
+    for l in counts.support():
+        log_sizes[l] = log(counts[l])
+    dist = _class_law(log_sizes, config.epsilon, config.k)
     support = tuple(chain.feasible_words(n))
     vec = []
     for w in support:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -541,6 +542,15 @@ class TestCliGolden:
         code, _, _ = run_cli(capsys, *args)
         assert code == case["exit_code"]
         assert Path(paths["{out}"]).read_text(encoding="utf-8") == case["csv"]
+
+    def test_only_mc_offline_entries_were_re_recorded(self):
+        # mc-offline's stream changed once, to one uniform per position; every
+        # other entry keeps the bytes recorded before that change
+        others = [case for kind in ("privatize", "experiment")
+                  for case in CLI_GOLDEN[kind] if "mc-offline" not in case["args"]]
+        digest = hashlib.sha256(json.dumps(others, sort_keys=True).encode()).hexdigest()
+        assert (len(others), digest) == (
+            37, "e9d1c1e11617de8f7a75344afd46db39a923d262682bab75be816224a67d5ee2")
 
 
 class TestEntryPoint:

@@ -588,6 +588,27 @@ class TestMarkovOffline:
         assert out == word
         assert any("no privacy" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("lengths", [(15, 60), (1, 2, 3, 4)])
+    def test_identity_warning_reads_the_public_walk_count(
+        self, lengths, storybook_chain, caplog
+    ):
+        # it fires exactly when the start has one feasible walk of length n,
+        # so the storybook chain never warns at the lengths it is run at
+        structure = MarkovChain(storybook_chain.states, storybook_chain.matrix)
+        rnd = random.Random(sum(lengths))
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        alone = 0
+        for start in range(structure.n_states):
+            chain = structure.with_initial(start)
+            for n in lengths:
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="worddp.markov"):
+                    privatize_markov_offline(chain, walk(chain, rnd, n), cfg, make_rng(0))
+                warned = any("no privacy" in r.message for r in caplog.records)
+                assert warned == (chain.count_feasible_words(n) == 1), (start, n)
+                alone += warned
+        assert (alone > 0) == (lengths != (15, 60))
+
     def test_distance_law_weighted_by_class_sizes(self, four_state_chain):
         word = four_state_chain.word(["s1", "s2", "s3"])
         eps = 1.0
@@ -642,15 +663,18 @@ class TestMarkovOffline:
         assert chi_square_pvalue(observed, expected) > 1e-4
 
     def test_top_uniform_releases_a_feasible_word(self, four_state_chain):
-        # the rounded cumulative sum of this word's distance law ends below 1
+        # every weight is positive, so the largest uniform below 1 takes each
+        # step's last successor, whatever its row's rounded total
         word = four_state_chain.word(["s3", "s3", "s3"])
         cfg = MechanismConfig(epsilon=2.0, k=1)
         out = privatize_markov_offline(
             four_state_chain, word, cfg, rng=TopUniformRng()
         )
-        assert four_state_chain.is_feasible(out)
-        support = feasible_distance_counts(four_state_chain, word).support()
-        assert hamming_distance(word, out) == support[-1]
+        state, last = four_state_chain.initial, []
+        for _ in word.symbols:
+            state = four_state_chain.successors(state)[-1]
+            last.append(state)
+        assert out.symbols == tuple(last)
 
     def test_seeded_outputs_match_golden_file(
         self, storybook_chain, four_state_chain
@@ -670,10 +694,11 @@ class TestMarkovOffline:
 
 
 class TestFeasibilityFromThePlan:
-    """A release reads the input's feasibility from a held plan, whose
-    ``count(0, 0, start)`` is 1 exactly when the input is feasible from
-    ``start``; without a plan, or on a count of 0, it checks the word step
-    by step before building anything."""
+    """A release reads the input's feasibility from a held plan, which
+    keeps the word's first symbol when the rest of the word is feasible:
+    the input is feasible from ``start`` exactly when that symbol may follow
+    ``start``.  Without a plan, or when it may not, the release checks the
+    word step by step before building anything."""
 
     @pytest.mark.parametrize("hold_own_plan", [False, True])
     def test_refuses_exactly_the_infeasible_words(
@@ -761,8 +786,8 @@ class TestWordPlanCache:
         assert chain._word_plans[sentence.symbols] is not plan
 
     def test_memory_stays_flat_under_fresh_words(self, storybook_chain):
-        # one n = 60 suffix table takes about 1.3 MB, so a second plan
-        # kept alive would break the bound
+        # one n = 60 plan takes about 68 KB beside 0.8 MB already traced,
+        # so keeping every plan alive would break the bound
         chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
         rnd = random.Random(7)
         words = [walk(chain, rnd, 60) for _ in range(20)]
@@ -781,9 +806,9 @@ class TestWordPlanCache:
 
 
 class TestSlotWidthCache:
-    """A chain structure computes the slot width once per word length, from
-    its walk counts, and every start and input word of that length reads
-    it."""
+    """A chain structure computes its walk counts once per word length, and
+    every start and input word of that length reads them: the slot width,
+    ``count_feasible_words`` and the identity check."""
 
     @pytest.mark.parametrize("lengths", [(80, 15, 80), (15, 80, 15)])
     def test_interleaved_lengths_count_exactly(self, lengths):
@@ -829,7 +854,7 @@ class TestSlotWidthCache:
         rnd = random.Random(22)
         for i in range(100):
             feasible_distance_counts(chain, walk(chain, rnd, (5, 12, 30)[i % 3]))
-        assert sorted(chain._widths) == [5, 12, 30]
+        assert sorted(chain._walk_cache) == [(5,), (12,), (30,)]
 
 
 WALK_LENGTHS = (*range(1, 9), 15, 60, 200)
@@ -868,9 +893,11 @@ class TestWalkCounts:
                 assert plan._width == max(loop_walks(chain, n)).bit_length()
 
 
-class TestWordPlanLaws:
-    def test_laws_bounded_under_distinct_budgets(self, storybook_chain, sample_tokens):
-        # a plan kept one law per epsilon it ever saw
+class TestWalkRowCache:
+    """A word's plan keeps the walk rows of its ``_ONLINE_POLICY_LIMIT``
+    most recent (epsilon, k), shared by every start."""
+
+    def test_rows_bounded_under_distinct_budgets(self, storybook_chain, sample_tokens):
         chain = storybook_chain.with_initial("anywhere")
         sentence = chain.word(sample_tokens)
         epsilons = [0.01 * (i + 1) for i in range(5 * _ONLINE_POLICY_LIMIT)]
@@ -879,114 +906,49 @@ class TestWordPlanLaws:
                 chain, sentence, MechanismConfig(epsilon=eps, k=1), make_rng(0)
             )
             plan = chain._word_plans[sentence.symbols]
-            assert len(plan._laws) <= _ONLINE_POLICY_LIMIT
-        assert list(plan._laws) == [
-            (chain.initial, eps, 1) for eps in epsilons[-_ONLINE_POLICY_LIMIT:]
-        ]
+            assert len(plan._cdfs) <= _ONLINE_POLICY_LIMIT
+        assert list(plan._cdfs) == [(eps, 1) for eps in epsilons[-_ONLINE_POLICY_LIMIT:]]
 
-    def test_refused_law_keeps_the_held_laws(self, four_state_chain):
+    def test_refused_rows_keep_the_held_rows(self, four_state_chain):
         chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
         plan = _word_plan(chain, chain.word(["s1", "s2", "s3"]))
-        held = {(s, eps, 1): plan.law(s, eps, 1)
-                for s in (0, 1) for eps in (1, 2, 3, 4)}
+        held = {(eps, k): plan.cdfs(eps, k) for k in (1, 2) for eps in (1, 2, 3, 4)}
         assert len(held) == _ONLINE_POLICY_LIMIT
         with pytest.raises(ValueError, match="epsilon must be finite"):
-            plan.law(0, float("nan"), 1)
-        assert list(plan._laws.items()) == list(held.items())
+            plan.cdfs(float("nan"), 1)
+        assert list(plan._cdfs.items()) == list(held.items())
 
     def test_sweep_keeps_hitting(self, storybook_chain, sample_tokens):
-        chain = storybook_chain.with_initial("anywhere")
-        plan = _word_plan(chain, chain.word(sample_tokens))
+        structure = MarkovChain(storybook_chain.states, storybook_chain.matrix)
+        word = structure.word(sample_tokens)
         grid = (0.01, 0.1, 1.0, 5.0, 10.0)
-        start = chain.initial
-        first = [plan.law(start, eps, 1) for eps in grid]
-        for _ in range(3):
-            assert all(plan.law(start, eps, 1) is law for eps, law in zip(grid, first))
-
-
-def step_reference(chain, word, reference, i, needed, state):
-    """Successors and the full ``np.cumsum`` of the exact path-count
-    ratios out of ``(i, needed, state)``, read from the unpacked loop table,
-    as the product automaton's per-distance step cache built them; a plan's
-    row is that cumsum without its last entry."""
-    n = len(word)
-
-    def count(i, needed, s):
-        return reference[i][s][needed] if 0 <= needed <= n - i else 0
-
-    here = count(i, needed, state)
-    succs, weights = [], []
-    for s in chain.successors(state):
-        w = count(i + 1, needed if s == word.symbols[i] else needed - 1, s)
-        if w > 0:
-            succs.append(s)
-            weights.append(w / here)
-    return tuple(succs), np.cumsum(weights).tolist()
+        plan = _word_plan(structure, word)
+        first = [plan.cdfs(eps, 1) for eps in grid]
+        for start in ("anywhere", "am", "Sam"):  # the sentence is feasible from each
+            chain = structure.with_initial(start)
+            for eps in grid:
+                privatize_markov_offline(chain, word, MechanismConfig(epsilon=eps, k=1),
+                                         make_rng(0))
+            assert chain._word_plans == {word.symbols: plan}
+            assert all(plan.cdfs(eps, 1) is rows for eps, rows in zip(grid, first))
 
 
 class TestWordPlan:
-    def check_rows(self, chain, word):
-        plan = _word_plan(chain, word)
-        cfg = MechanismConfig(epsilon=1.0, k=1)
-        rng = make_rng(len(word))
-        for _ in range(50):
-            privatize_markov_offline(chain, word, cfg, rng)
-        assert plan._rows  # the releases filled rows
-        reference = loop_suffix_table(chain, word)
-        n = len(word)
-        for (i, needed, state), row in plan._rows.items():
-            succs, full = step_reference(chain, word, reference, i, needed, state)
-            assert row[:2] == (succs, full[:-1])
-        built = 0
-        for i in range(n):
-            for needed in range(n - i + 1):
-                for state in range(chain.n_states):
-                    if plan.count(i, needed, state) == 0:
-                        continue
-                    succs, full = step_reference(
-                        chain, word, reference, i, needed, state
-                    )
-                    assert plan._row(i, needed, state)[:2] == (succs, full[:-1])
-                    built += 1
-        return built
-
-    def test_rows_equal_cumsum_on_storybook(self, storybook_chain, sample_tokens):
-        chain = storybook_chain.with_initial("anywhere")
-        assert self.check_rows(chain, chain.word(sample_tokens)) > 1000
-
-    def test_rows_equal_cumsum_on_four_state_chain(self, four_state_chain):
-        words = [
-            w for n in range(1, 5) for w in four_state_chain.feasible_words(n)
-        ]
-        assert len(words) == 50
-        for word in words:
-            # a new chain structure, so its plan cache is empty
-            chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
-            self.check_rows(chain, word)
-
-    @pytest.mark.parametrize("name", ["storybook", "four-state"])
-    def test_automaton_sample_is_the_release_walk(
-        self, name, storybook_chain, four_state_chain, sample_tokens
-    ):
-        if name == "storybook":
-            chain = storybook_chain.with_initial("anywhere")
-            word = chain.word(sample_tokens)
-        else:
-            chain = four_state_chain
-            word = chain.word(["s1", "s2", "s1", "s2"])
-        automata = {
-            j: ProductDistanceAutomaton(chain, word, j)
-            for j in feasible_distance_counts(chain, word).support()
-        }
-        for eps in (0.0, 0.5, 5.0):
-            cfg = MechanismConfig(epsilon=eps, k=1)
-            rng = make_rng(int(10 * eps))
-            clone = copy.deepcopy(rng)
-            for _ in range(200):
-                out = privatize_markov_offline(chain, word, cfg, rng)
-                clone.random()  # the release's distance draw
-                distance = hamming_distance(word, out)
-                assert automata[distance].sample(clone) == out
+    def test_a_release_builds_no_suffix_table(self, storybook_chain, sample_tokens):
+        chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
+        word = chain.word(sample_tokens)
+        for eps in (0.0, 1.0, 10.0):
+            privatize_markov_offline(chain, word, MechanismConfig(epsilon=eps, k=1),
+                                     make_rng(0))
+        plan = chain._word_plans[word.symbols]
+        assert not {"_table", "_first_row"} & vars(plan).keys()
+        # counts keep one row, on the same plan; the automaton, every row
+        feasible_distance_counts(chain, word)
+        assert "_first_row" in vars(plan) and "_table" not in vars(plan)
+        table = ProductDistanceAutomaton(chain, word, 3)._plan._table
+        feasible_distance_counts(chain, word)
+        assert chain._word_plans[word.symbols] is plan and plan._table is table
+        assert plan._first_row == table[0]
 
     def test_one_live_plan(self, storybook_chain, monkeypatch):
         live = weakref.WeakSet()
@@ -1008,42 +970,55 @@ class TestWordPlan:
         assert max(alive_at_build) == 0
         assert len(live) == 1
 
+    def test_plan_memory_on_a_large_chain(self):
+        # 2,000 states of 10 successors each at n = 60: the rows hold
+        # 60 * 20,000 doubles, and the build goes position by position
+        rng = np.random.default_rng(2000)
+        m = 2000
+        matrix = np.zeros((m, m))
+        for s in range(m):
+            matrix[s, rng.choice(m, 10, replace=False)] = 0.1
+        chain = MarkovChain([f"s{i}" for i in range(m)], matrix, 0)
+        word = walk(chain, random.Random(60), 60)
+        tracemalloc.start()
+        try:
+            plan = markov._WordPlan(chain, word)
+            plan.cdfs(1.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(row) for row in plan.cdfs(1.0, 1)) == 60 * 20_000
+        assert peak <= 25e6
 
-class TestLinkedRows:
-    """Each walk row links each successor it has taken to the row that
-    follows, the row stored under that key; a warm release follows the
-    links and releases what a new chain structure releases."""
 
-    def test_links_point_to_the_stored_rows(self, storybook_chain, sample_tokens):
+class TestHistoryFreeRows:
+    """A release reads its plan and changes nothing in it, so its time and
+    its output do not depend on which releases came before."""
+
+    def test_releases_leave_the_plan_as_built(self, storybook_chain, sample_tokens):
         structure = MarkovChain(storybook_chain.states, storybook_chain.matrix)
         word = structure.word(sample_tokens)
         grid = (0.01, 0.1, 1.0, 5.0, 10.0)
+        plan = _word_plan(structure, word)
+        for eps in grid:
+            plan.cdfs(eps, 1)
+        built = copy.deepcopy(vars(plan))
+        cached = {key: [bytes(row) for row in rows] for key, rows in plan._cdfs.items()}
         starts = ("anywhere", "am", "Sam")  # the sentence is feasible from each
         rng = make_rng(19)
-        for r in range(2000):
+        for r in range(1000):
             chain = structure.with_initial(starts[r % 3])
             cfg = MechanismConfig(epsilon=grid[r // 3 % 5], k=1)
             privatize_markov_offline(chain, word, cfg, rng)
-        plan = structure._word_plans[word.symbols]
-        rows = plan._rows
-        n, linked = len(word), 0
-        for key, row in rows.items():
-            succs, cdf, links, own_key = row
-            i, needed, _ = key
-            assert own_key == key and len(links) == len(succs)
-            if i == n - 1:  # the last step links nowhere
-                assert links == [None] * len(succs)
-            for state, after in zip(succs, links):
-                if after is None:
-                    continue
-                after_key = (i + 1, needed - (state != word.symbols[i]), state)
-                assert after[3] == after_key
-                assert rows[after_key] is after
-                linked += 1
-        assert linked > 1000
-        # every row at a later position was reached through a link
-        targets = {after[3] for row in rows.values() for after in row[2] if after}
-        assert {key for key in rows if key[0] > 0} == targets
+        assert structure._word_plans == {word.symbols: plan}
+        assert vars(plan).keys() == built.keys()
+        for name, value in vars(plan).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, built[name]), name
+            elif name != "_cdfs":
+                assert value == built[name], name
+        assert {key: [bytes(row) for row in rows]
+                for key, rows in plan._cdfs.items()} == cached
 
     @pytest.mark.parametrize("n", [15, 60])
     def test_warm_structure_releases_as_a_new_one(
@@ -1077,8 +1052,8 @@ class TestSharedStructure:
         moved = chain.with_initial("s2")
         assert (moved.initial, chain.initial) == (2, 0)
         for name in ("states", "matrix", "_successors", "_successor_sets",
-                     "_targets", "_firsts", "_word_plans", "_widths",
-                     "_online_policies"):
+                     "_targets", "_firsts", "_grid", "_edges", "_lo", "_hi",
+                     "_word_plans", "_walk_cache", "_online_policies"):
             assert getattr(moved, name) is getattr(chain, name), name
         fresh = MarkovChain(chain.states, chain.matrix, "s2")
         assert fresh._word_plans is not chain._word_plans
@@ -1316,10 +1291,8 @@ class TestMarkovOnline:
 
 
 class TestStreamContract:
-    """Each chain-mode release draws its uniforms in one block:
-    ``mc-offline`` one ``rng.random(n + 1)`` call, the distance first and
-    then one per position of the walk, and ``mc-online`` one
-    ``rng.random(n)`` call.  numpy defines a block to return the doubles of
+    """Each chain-mode release draws its uniforms in one block, one
+    ``rng.random(n)`` call with one uniform per position.  numpy defines a block to return the doubles of
     as many scalar calls and to leave the generator where they leave it, so
     each release equals its per-step replay on a cloned generator,
     generator state included; the traced benchmark replays ``mc-online``
@@ -1369,7 +1342,7 @@ class TestStreamContract:
             assert clone.bit_generator.state == expected_state
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 10.0])
-    def test_offline_draws_n_plus_one_uniforms(self, inputs, eps):
+    def test_offline_draws_n_uniforms(self, inputs, eps):
         chain, cases = inputs
         cfg = MechanismConfig(epsilon=eps, k=1)
         for seed, (word, feasible) in enumerate(cases):
@@ -1380,17 +1353,16 @@ class TestStreamContract:
                     privatize_markov_offline(chain, word, cfg, rng=rng)
                 assert rng.bit_generator.state == clone.bit_generator.state
                 continue
-            expected_state = self.after_scalar_draws(rng, len(word) + 1)
+            expected_state = self.after_scalar_draws(rng, len(word))
             out = privatize_markov_offline(chain, word, cfg, rng=rng)
             assert rng.bit_generator.state == expected_state
             # the walk step by step, one scalar uniform per position
-            plan = _word_plan(chain, word)
-            needed = plan.law(chain.initial, eps, 1).sample(clone)
+            cdfs = _word_plan(chain, word).cdfs(eps, 1)
             state, stepped = chain.initial, []
-            for i, target in enumerate(word.symbols):
-                succs, cdf = plan._row(i, needed, state)[:2]
-                state = succs[bisect_right(cdf, clone.random())]
-                needed -= state != target
+            for cdf in cdfs:
+                succs = chain.successors(state)
+                row = cdf[chain._lo[state]:chain._hi[state]]
+                state = succs[bisect_right(row, clone.random())]
                 stepped.append(state)
             assert out.symbols == tuple(stepped)
             assert clone.bit_generator.state == expected_state
@@ -1572,7 +1544,7 @@ class TestClampFreeStep:
         # at eps = 40 tau rounds to 1.0: every other successor has no mass
         assert (zero_mass > 0) == (eps == 40.0)
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, 40.0])
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 40.0, 1e308])
     @pytest.mark.parametrize("name", ["storybook", "four-state"])
     def test_plan_rows(
         self, name, eps, storybook_chain, four_state_chain, sample_tokens
@@ -1583,29 +1555,24 @@ class TestClampFreeStep:
         else:
             chain = four_state_chain
             words = [w for n in range(1, 5) for w in chain.feasible_words(n)]
-        cfg = MechanismConfig(epsilon=eps, k=1)
-        forced = 0
+        forced = zero_mass = 0
         for word in words:
-            plan = _word_plan(chain, word)
-            rng = make_rng(len(word))
-            for _ in range(20):
-                privatize_markov_offline(chain, word, cfg, rng)
-            reference = loop_suffix_table(chain, word)
-            keys = [
-                (i, needed, state)
-                for i in range(len(word))
-                for needed in range(len(word) - i + 1)
-                for state in range(chain.n_states)
-                if plan.count(i, needed, state) > 0
-            ]
-            assert set(plan._rows) <= set(keys)  # the rows the releases used
-            for key in keys:
-                succs, full = step_reference(chain, word, reference, *key)
-                row_succs, row = (plan._rows.get(key) or plan._row(*key))[:2]
-                assert row_succs == succs
-                forced += len(succs) == 1
-                self.check(succs, row, full)
-        assert forced > 0
+            for cdf in _word_plan(chain, word).cdfs(eps, 1):
+                for state, succs in enumerate(chain._successors):
+                    lo, hi = chain._lo[state], chain._hi[state]
+
+                    def step(u):  # the release's own step, drawing u
+                        return chain._edges[bisect_right(cdf, u, lo, hi)]
+
+                    full = cdf[lo:hi + 1].tolist()
+                    forced += len(succs) == 1
+                    zero_mass += sum(a == b for a, b in zip([0.0] + full, full))
+                    self.check(succs, full[:-1], full, step)
+        # the storybook chain has states of one successor, the four-state none
+        assert (forced > 0) == (name == "storybook")
+        # at eps = 40 some weights fall below a rounding step of their row's
+        # sum, and at 1e308 every successor but the input's has none
+        assert (zero_mass > 0) == (eps >= 40.0)
 
 
 class TestStorybookChain:

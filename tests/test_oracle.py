@@ -13,6 +13,7 @@ from worddp import (
     distance_distribution,
     encode_word,
     hamming_distance,
+    make_rng,
     online_policy,
     privatize_markov_offline,
     privatize_offline,
@@ -29,6 +30,7 @@ from worddp.oracle import (
 )
 from helpers import (
     brute_feasible_words,
+    chi_square_pvalue,
     loop_law_matrix,
     loop_verify_dp,
     random_chain,
@@ -421,6 +423,117 @@ def _assert_matches_loop(kind, **kwargs):
     report = verify_dp(kind, **kwargs)
     assert report == loop_verify_dp(kind, **kwargs)
     return report
+
+
+def _walk_chains() -> dict:
+    """The loop chains and 12 random chains of 2 to 5 states."""
+    chains = {name: build() for name, build in LOOP_CHAINS.items()}
+    chains.update({f"random-{seed}-{2 + seed % 4}": random_chain(seed, 2 + seed % 4)
+                   for seed in range(100, 112)})
+    return chains
+
+
+def _walk_inputs(chain, n):
+    """Up to four feasible inputs of length ``n``, spread over the list."""
+    words = list(chain.feasible_words(n))
+    return words[:: max(1, len(words) // 4)][:4]
+
+
+def _step_factors(chain, word, eps, k):
+    """Per position, the walk's factor w**[t != x_i] * beta[i+1](t) / beta[i](s)
+    of every edge (s, t), from the plan's backward messages."""
+    plan = _word_plan(chain, word)
+    w = exp(-eps / (2.0 * k))
+    beta, factors = np.ones(chain.n_states), []
+    for target, cum in zip(reversed(word.symbols), plan._messages(w)):
+        weight = np.where(chain._targets == target, 1.0, w) * beta[chain._targets]
+        factors.append(weight / np.repeat(cum[:, -1], [len(s) for s in chain._successors]))
+        beta = cum[:, -1] / cum[:, -1].max()
+    return factors[::-1]
+
+
+def _walk_law(chain, outputs, edge_mass):
+    """Each output's probability as the product of ``edge_mass(i, state,
+    edge)`` along its walk from the chain's start."""
+    probs = []
+    for y in outputs:
+        p, state = 1.0, chain.initial
+        for i, t in enumerate(y.symbols):
+            edge = chain._edges.index(t, chain._lo[state], chain._hi[state] + 1)
+            p *= edge_mass(i, state, edge)
+            state = t
+        probs.append(p)
+    return np.array(probs)
+
+
+def _interval(chain, cdfs):
+    """The mass of the interval the walk gives an edge of ``state`` at
+    position ``i``: it searches the rows' span [lo, hi), below which lies
+    0 and above which 1."""
+    def mass(i, state, edge):
+        top = 1.0 if edge == chain._hi[state] else cdfs[i][edge]
+        return top - (0.0 if edge == chain._lo[state] else cdfs[i][edge - 1])
+    return mass
+
+
+class TestBackwardMessageWalk:
+    """The ``mc-offline`` walk samples the exponential mechanism over the
+    feasible words: its step factors multiply out to the exact law, and so
+    do the intervals of the CDF rows the walk searches, up to the
+    cancellation of taking differences of cumulative sums."""
+
+    CONFIGS = [(eps, k) for eps in (0.0, 0.1, 1.0, 5.0) for k in (1, 2)]
+
+    @pytest.mark.parametrize("name", sorted(_walk_chains()))
+    def test_step_factors_and_intervals_equal_the_exact_law(self, name):
+        chain = _walk_chains()[name]
+        worst_factor = worst_interval = 0.0
+        for n in (1, 2, 3, 4):
+            for word in _walk_inputs(chain, n):
+                for eps, k in self.CONFIGS:
+                    law = exact_law("mc-offline", word, MechanismConfig(epsilon=eps, k=k),
+                                    chain)
+                    factors = _step_factors(chain, word, eps, k)
+                    cdfs = _word_plan(chain, word).cdfs(eps, k)
+                    by_factor = _walk_law(chain, law.words, lambda i, s, e: factors[i][e])
+                    by_interval = _walk_law(chain, law.words, _interval(chain, cdfs))
+                    worst_factor = max(worst_factor, np.max(
+                        np.abs(by_factor - law.probabilities) / law.probabilities))
+                    worst_interval = max(worst_interval, np.max(
+                        np.abs(by_interval - law.probabilities) / law.probabilities))
+        assert worst_factor <= 1e-14
+        assert worst_interval <= 1e-11
+
+    @pytest.mark.parametrize("name", ["four-state", "random-4", "delayed"])
+    def test_seeded_releases_follow_the_exact_law(self, name):
+        chain = LOOP_CHAINS[name]()
+        word = _walk_inputs(chain, 3)[-1]
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        law = exact_law("mc-offline", word, cfg, chain)
+        index = {w: i for i, w in enumerate(law.words)}
+        rng, draws = make_rng(3), 20_000
+        counts = np.zeros(len(law.words))
+        for _ in range(draws):
+            counts[index[privatize_markov_offline(chain, word, cfg, rng)]] += 1
+        assert chi_square_pvalue(counts, law.probabilities * draws) > 1e-4
+
+    @pytest.mark.parametrize("name", sorted(LOOP_CHAINS))
+    def test_huge_epsilon_echoes_and_zero_is_uniform(self, name):
+        # w = exp(-1e308 / 2) underflows to 0: only the input's own symbol
+        # keeps weight; at 0 every feasible word weighs the same
+        chain, rng = LOOP_CHAINS[name](), make_rng(0)
+        huge, zero = (MechanismConfig(epsilon=eps, k=1) for eps in (1e308, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 3, 4):
+                feasible = list(chain.feasible_words(n))
+                for word in _walk_inputs(chain, n):
+                    for _ in range(10):
+                        assert privatize_markov_offline(chain, word, huge, rng) == word
+                        privatize_markov_offline(chain, word, zero, rng)
+                    cdfs = _word_plan(chain, word).cdfs(0.0, 1)
+                    law = _walk_law(chain, feasible, _interval(chain, cdfs))
+                    assert np.allclose(law, 1 / len(feasible), rtol=1e-12, atol=0)
 
 
 class TestMatchesLoopReference:
