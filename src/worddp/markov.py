@@ -13,14 +13,14 @@ the per-symbol sampler redistributes mass over the successors of the
 previously released state; neither leaves the feasible set.
 
 The whole-word sampler's plan belongs to one (chain, input word): per
-(epsilon, k), the CDF rows of a forward walk over backward messages, every
-position's built before the first walk, so a release reads the plan and
-changes nothing.  Exact counts (the packed suffix table) are built only when
-something asks for them.  A chain keeps the plan of the last input word
-only.  The per-symbol sampler's plan depends on public data only: a chain
-keeps one policy per recent (epsilon, k), which fills its CDF rows per
-previously released state.  A start is a parameter of the chain, not a copy
-of it: every :meth:`MarkovChain.with_initial` of a chain shares its
+(epsilon, k), the CDF rows of a forward walk over backward messages, built
+for every position by two batched passes before the first walk, so a release
+reads the plan and changes nothing.  Exact counts (the packed suffix table)
+are built only when something asks for them.  A chain keeps the plan of the
+last input word only.  The per-symbol sampler's plan depends on public data
+only: a chain keeps one policy per recent (epsilon, k), which fills its CDF
+rows per previously released state.  A start is a parameter of the chain, not
+a copy of it: every :meth:`MarkovChain.with_initial` of a chain shares its
 structure and these caches.
 
 Each release reads one block of n uniforms, one per symbol, which numpy
@@ -40,7 +40,7 @@ from array import array
 from bisect import bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from math import exp
 from pathlib import Path
@@ -128,12 +128,14 @@ class MarkovChain:
         self.matrix = mat
         self.initial = self._state_index(initial)
         # one pass in row-major order, successors ascending: the chain's edges,
-        # which _walks and the mc-offline rows read as arrays
+        # which _count_walks and the mc-offline rows read as arrays
         rows, cols = np.nonzero(mat > 0)
         sizes = np.bincount(rows, minlength=m)
-        self._targets, self._firsts = cols, sizes.cumsum() - sizes
-        # each edge's cell in a (state, rank among its successors) grid
-        self._grid = np.arange(sizes.max()) < sizes[:, None]
+        self._targets, self._firsts, self._sources = cols, sizes.cumsum() - sizes, rows
+        # each edge's flat cell in a rank-major (rank, state) grid padded with m
+        self._cells = (np.arange(len(cols)) - self._firsts[rows]) * m + rows
+        self._grid = np.full((sizes.max(), m), m)
+        self._grid.flat[self._cells] = cols
         bounds, self._edges = self._firsts.tolist() + [len(cols)], cols.tolist()
         # each state's span of edges, without its last one
         self._lo, self._hi = bounds[:-1], [b - 1 for b in bounds[1:]]
@@ -227,28 +229,14 @@ class MarkovChain:
         return self._walk_counts(n)[self.initial]
 
     def _walk_counts(self, n: int) -> list[int]:
-        """:meth:`_walks`, kept for the ``_ONLINE_POLICY_LIMIT`` most recent
-        lengths: one DP per chain structure and length serves every start."""
+        """:func:`_count_walks`, kept for the ``_ONLINE_POLICY_LIMIT`` most
+        recent lengths: one DP per chain structure and length serves every start."""
         return _cached(self._walk_cache, (_integer(n, _LENGTH_MESSAGE, low=1),),
-                       self._walks)
-
-    def _walks(self, n: int, guard: bool = False) -> list[int]:
-        """Number of length-``n`` walks from each state, exactly.  With
-        ``guard`` the enumeration limit sees the count from the initial state
-        at each length; no count falls as the length grows (every state has
-        a successor), so an oversized ``n`` is refused at the first length
-        past the limit.  A length is one reduceat on exact Python ints."""
-        n = _integer(n, _LENGTH_MESSAGE, low=1)
-        walks = np.ones(self.n_states, dtype=object)
-        for _ in range(n):
-            walks = np.add.reduceat(walks[self._targets], self._firsts)
-            if guard:
-                _check_enumerable(walks[self.initial])
-        return walks.tolist()
+                       partial(_count_walks, self._targets, self._firsts))
 
     def feasible_words(self, n: int) -> Iterator[Word]:
         """Enumerate feasible words of length ``n`` in successor order."""
-        self._walks(n, guard=True)
+        _count_walks(self._targets, self._firsts, n, self.initial)
         yield from _enumerate(self.states, n, self.initial,
                               lambda i, prev: ((s, s) for s in self.successors(prev)))
 
@@ -412,6 +400,19 @@ class DistanceCounts:
         return tuple(l for l, c in enumerate(self.counts) if c > 0)
 
 
+def _count_walks(targets: np.ndarray, firsts: np.ndarray, n: int,
+                 start: int | None = None) -> list[int]:
+    """Exact length-``n`` walk counts from each state, one reduceat per length;
+    a ``start``'s count, which never falls, meets the enumeration limit at each."""
+    n = _integer(n, _LENGTH_MESSAGE, low=1)
+    walks = np.ones(len(firsts), dtype=object)
+    for _ in range(n):
+        walks = np.add.reduceat(walks[targets], firsts)
+        if start is not None:
+            _check_enumerable(walks[start])
+    return walks.tolist()
+
+
 def _cached(cache: OrderedDict, key, build):
     """``cache[key]`` from an LRU cache of ``_ONLINE_POLICY_LIMIT`` entries
     (policies, walk counts and walk rows), calling ``build(*key)`` on a
@@ -438,13 +439,16 @@ class _WordPlan:
     backward messages and a forward walk: with ``beta[n] = 1`` and
     ``beta[i](s)`` the sum over the successors ``t`` of ``s`` of
     ``w**[t != x_i] * beta[i+1](t)`` (scaled to a largest entry of 1), the
-    walk steps from ``s`` to ``t`` in proportion to that term.  A
-    position's rows are the cumulative terms over each state's successors
-    (one padded 2-D ``cumsum``) over their total, in one ``array('d')`` laid
-    out as the chain's edges.  A step searches its state's span without the
-    last boundary, so the last successor takes the rounding gap below 1,
-    and a successor of zero weight is never drawn.  Every start shares the
-    rows, all built before the first walk: a release changes nothing.
+    walk steps from ``s`` to ``t`` in proportion to that term.  A first pass
+    computes the betas; a second gathers blocks of positions' terms through
+    the chain's rank-major successor grid, whose running sums over each
+    state's total are one ``array('d')`` per position, laid out as the
+    chain's edges.  Both add along the rank axis a whole row at a time, so
+    each state's terms add in successor order (a pairwise sum would change
+    the low bits).  A step searches its state's span without the last
+    boundary, so the last successor takes the rounding gap below 1, and a
+    successor of zero weight is never drawn.  Every start shares the rows,
+    all built before the first walk: a release changes nothing.
 
     ``_table[i][s]`` packs the feasible completions from position ``i`` in
     state ``s`` into one Python int: slot ``q`` (bits ``q*B`` up to
@@ -460,17 +464,21 @@ class _WordPlan:
     def __init__(self, chain: MarkovChain, word: Word):
         self._n, symbols = len(word), word.symbols
         self._symbols, self._successors = symbols, chain._successors
-        self._targets, self._grid = chain._targets, chain._grid
-        # the walk counts from each state, which the identity check reads
-        self._walks = chain._walk_counts(self._n)
-        self._width = max(self._walks).bit_length()
-        self._mask = (1 << self._width) - 1
+        self._grid, self._cells, self._sources = chain._grid, chain._cells, chain._sources
+        self._walk_cache, self._targets, self._firsts = (
+            chain._walk_cache, chain._targets, chain._firsts)
         # the first symbol if the rest of the word is feasible, else None
         follows = chain._successor_sets
         self._first = None if any(
             b not in follows[a] for a, b in zip(symbols, symbols[1:])) else symbols[0]
         # (epsilon, k) -> the CDF rows of every position, see _levels
         self._cdfs: OrderedDict[tuple[float, int], list[array]] = OrderedDict()
+
+    @cached_property
+    def _width(self) -> int:
+        """``B``, from the chain's walk counts per length, on the first count."""
+        return max(_cached(self._walk_cache, (self._n,), partial(
+            _count_walks, self._targets, self._firsts))).bit_length()
 
     def _suffix_rows(self) -> Iterator[list[int]]:
         """The packed suffix table's rows, from position n back to 0."""
@@ -499,13 +507,13 @@ class _WordPlan:
         if not 0 <= needed <= self._n - i:
             return 0
         slot = self._n - i - needed
-        return (self._table[i][state] >> (slot * self._width)) & self._mask
+        return (self._table[i][state] >> (slot * self._width)) & ((1 << self._width) - 1)
 
     def counts(self, start: int) -> DistanceCounts:
         """Feasible words after ``start`` at each distance from the word."""
         packed, width, n = self._first_row[start], self._width, self._n
-        return DistanceCounts(
-            tuple((packed >> ((n - r) * width)) & self._mask for r in range(n + 1)))
+        return DistanceCounts(tuple(
+            (packed >> ((n - r) * width)) & ((1 << width) - 1) for r in range(n + 1)))
 
     def cdfs(self, epsilon: float, k: int) -> list[array]:
         """The walk's CDF rows for ``(epsilon, k)``, one array per position,
@@ -513,31 +521,34 @@ class _WordPlan:
         return _cached(self._cdfs, (epsilon, k), self._levels)
 
     def _levels(self, epsilon: float, k: int) -> list[array]:
+        """The second pass, in blocks of about 2**16 grid cells to bound memory."""
         _check_params(epsilon, k)
-        levels = []
         # w is 0.0 once it underflows, and the walk echoes the input
-        for cum in self._messages(exp(-epsilon / (2.0 * k))):
-            totals = cum[:, -1:]
+        betas = self._messages(w := exp(-epsilon / (2.0 * k)))[1:]
+        weights, at = betas * w, (range(self._n), self._symbols)
+        weights[at] = betas[at]
+        grid, step, levels = self._grid, max(1, (1 << 16) // self._grid.size), []
+        for i in range(0, self._n, step):
+            cum = weights[i:i + step].take(grid, axis=1)
+            for rank in range(1, len(grid)):
+                cum[:, rank] += cum[:, rank - 1]
+            edges = cum.reshape(len(cum), -1).take(self._cells, axis=1)
+            totals = cum[:, -1].take(self._sources, axis=1)
             # a state no walk enters at this position may have total 0
-            rows = np.divide(cum, totals, out=np.ones_like(cum), where=totals > 0)
-            levels.append(array("d", rows[self._grid].tobytes()))
-        levels.reverse()
+            rows = np.divide(edges, totals, out=np.ones_like(edges), where=totals > 0)
+            levels += [array("d", row.tobytes()) for row in rows]
         return levels
 
-    def _messages(self, w: float) -> Iterator[np.ndarray]:
-        """Per position, from the last: the cumulative sums of each state's
-        successor weights ``w**[t != x_i] * beta[i+1](t)`` on the padded
-        grid, whose last column is ``beta[i]``."""
-        grid, targets = self._grid, self._targets
-        beta = np.ones(grid.shape[0])
-        for target in reversed(self._symbols):
-            weight = beta * w
-            weight[target] = beta[target]
-            pad = np.zeros(grid.shape)
-            pad[grid] = weight[targets]
-            cum = pad.cumsum(axis=1)
-            yield cum
-            beta = cum[:, -1] / cum[:, -1].max()
+    def _messages(self, w: float) -> np.ndarray:
+        """The first pass: ``beta[i]`` up to i = n, and 0 for padded cells."""
+        betas = np.zeros((self._n + 1, self._grid.shape[1] + 1))
+        betas[-1, :-1] = 1.0
+        for i, target in reversed(list(enumerate(self._symbols))):
+            weight = betas[i + 1] * w
+            weight[target] = betas[i + 1, target]
+            total = weight.take(self._grid).sum(axis=0)
+            betas[i, :-1] = total / total.max()
+        return betas
 
 
 def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
@@ -626,7 +637,11 @@ def privatize_markov_offline(
     if plan is None or plan._first not in chain._successor_sets[start]:
         chain.require_feasible(word)
         plan = _word_plan(chain, word)
-    if plan._walks[start] == 1:
+    # the start has one walk of length n iff each of its n steps has one successor
+    steps, state, successors = plan._n, start, chain._successors
+    while len(successors[state]) == 1 and steps:
+        steps, state = steps - 1, successors[state][0]
+    if not steps:
         logger.warning("chain admits no feasible word other than the input; the "
                        "whole-word mechanism degenerates to the identity and "
                        "provides no privacy")

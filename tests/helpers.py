@@ -8,7 +8,7 @@ and samplers under test.
 from __future__ import annotations
 
 import itertools
-from math import log
+from math import exp, log
 
 import numpy as np
 
@@ -112,6 +112,31 @@ def loop_suffix_table(chain: MarkovChain, word: Word) -> list[list[list[int]]]:
                     for r in range(1, n - i + 1):
                         row[r] += nxt[r - 1]
     return table
+
+
+def loop_plan_rows(chain: MarkovChain, word: Word, epsilon: float, k: int) -> list[bytes]:
+    """The ``mc-offline`` walk's CDF rows for ``(epsilon, k)``, as bytes, built
+    one position at a time on a padded (state, successor rank) grid: from
+    the last position, each state's successor weights ``w**[t != x_i] *
+    beta[i+1](t)``, their cumulative sum along each state's row, whose last
+    column is ``beta[i]`` before scaling, and the sums over that total, laid
+    out as the chain's edges."""
+    sizes = np.array([len(succ) for succ in chain._successors])
+    grid = np.arange(sizes.max()) < sizes[:, None]
+    targets = np.array([t for succ in chain._successors for t in succ])
+    w = exp(-epsilon / (2.0 * k))
+    beta, levels = np.ones(chain.n_states), []
+    for target in reversed(word.symbols):
+        weight = beta * w
+        weight[target] = beta[target]
+        pad = np.zeros(grid.shape)
+        pad[grid] = weight[targets]
+        cum = pad.cumsum(axis=1)
+        totals = cum[:, -1:]
+        rows = np.divide(cum, totals, out=np.ones_like(cum), where=totals > 0)
+        levels.append(rows[grid].tobytes())
+        beta = cum[:, -1] / cum[:, -1].max()
+    return levels[::-1]
 
 
 def loop_walks(chain: MarkovChain, n: int) -> list[int]:

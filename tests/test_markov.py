@@ -821,25 +821,31 @@ class TestSlotWidthCache:
 
     def test_walk_counts_run_once_per_length(self, storybook_chain, monkeypatch):
         calls = []
-        walks = MarkovChain._walks
+        walks = markov._count_walks
 
-        def counting(chain, n, guard=False):
+        def counting(targets, firsts, n, start=None):
             calls.append(n)
-            return walks(chain, n, guard)
+            return walks(targets, firsts, n, start)
 
-        monkeypatch.setattr(MarkovChain, "_walks", counting)
+        monkeypatch.setattr(markov, "_count_walks", counting)
         source = MarkovChain(storybook_chain.states, storybook_chain.matrix)
         starts = [source.with_initial(s) for s in ("anywhere", "green", "could")]
         rnd = random.Random(20)
         cfg = MechanismConfig(epsilon=1.0, k=1)
+        words = {}
         for _ in range(5):
             for n in (15, 60):
                 for chain in starts:
-                    privatize_markov_offline(chain, walk(chain, rnd, n), cfg,
-                                             make_rng(0))
+                    word = words[chain.initial, n] = walk(chain, rnd, n)
+                    privatize_markov_offline(chain, word, cfg, make_rng(0))
+        # a release runs no walk DP; counts run it once per length
+        assert calls == []
+        for n in (15, 60):
+            for chain in starts:
+                feasible_distance_counts(chain, words[chain.initial, n])
         assert calls == [15, 60]
         fresh = MarkovChain(storybook_chain.states, storybook_chain.matrix, "green")
-        privatize_markov_offline(fresh, walk(fresh, rnd, 15), cfg, make_rng(0))
+        feasible_distance_counts(fresh, walk(fresh, rnd, 15))
         assert calls == [15, 60, 15]
 
     def test_width_is_the_bit_length_of_the_walk_counts(self, storybook_chain):
@@ -847,7 +853,7 @@ class TestSlotWidthCache:
         rnd = random.Random(21)
         for n in (1, 15, 60, 200):
             plan = _word_plan(chain, walk(chain, rnd, n))
-            assert plan._width == max(chain._walks(n)).bit_length()
+            assert plan._width == max(chain._walk_counts(n)).bit_length()
 
     def test_one_entry_per_length(self, storybook_chain):
         chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
@@ -874,14 +880,14 @@ class TestWalkCounts:
     def test_counts_equal_the_loop_reference(self, four_state_chain, storybook_chain):
         for chain in walk_count_chains(four_state_chain, storybook_chain):
             for n in WALK_LENGTHS:
-                counts = chain._walks(n)
+                counts = chain._walk_counts(n)
                 assert counts == loop_walks(chain, n), (chain.n_states, n)
                 assert {type(c) for c in counts} == {int}
                 assert chain.count_feasible_words(n) == counts[chain.initial]
 
     def test_counts_pass_the_int64_range(self, storybook_chain):
         # so a fixed-width integer DP would have wrapped
-        assert max(storybook_chain._walks(60)) > 2**63
+        assert max(storybook_chain._walk_counts(60)) > 2**63
 
     def test_slot_width_is_the_loop_walks_bit_length(
         self, four_state_chain, storybook_chain
@@ -990,6 +996,28 @@ class TestWordPlan:
         assert sum(len(row) for row in plan.cdfs(1.0, 1)) == 60 * 20_000
         assert peak <= 25e6
 
+    def test_plan_memory_on_a_hub_chain(self):
+        # 500 states of 10 successors each and a hub followed by all 500: the
+        # rank-major grid is 500 ranks deep for 5,500 edges; the padded build
+        # that went one position at a time peaked at 10,897,033 bytes here
+        rng = np.random.default_rng(500)
+        m = 500
+        matrix = np.zeros((m + 1, m + 1))
+        for s in range(m):
+            matrix[s, rng.choice(m + 1, 10, replace=False)] = 0.1
+        matrix[m, :m] = 1 / m
+        chain = MarkovChain([f"s{i}" for i in range(m)] + ["hub"], matrix, "hub")
+        word = walk(chain, random.Random(60), 60)
+        tracemalloc.start()
+        try:
+            plan = markov._WordPlan(chain, word)
+            plan.cdfs(1.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(row) for row in plan.cdfs(1.0, 1)) == 60 * 5_500
+        assert peak <= 10.89e6
+
 
 class TestHistoryFreeRows:
     """A release reads its plan and changes nothing in it, so its time and
@@ -1052,7 +1080,8 @@ class TestSharedStructure:
         moved = chain.with_initial("s2")
         assert (moved.initial, chain.initial) == (2, 0)
         for name in ("states", "matrix", "_successors", "_successor_sets",
-                     "_targets", "_firsts", "_grid", "_edges", "_lo", "_hi",
+                     "_targets", "_firsts", "_grid", "_cells", "_sources", "_edges",
+                     "_lo", "_hi",
                      "_word_plans", "_walk_cache", "_online_policies"):
             assert getattr(moved, name) is getattr(chain, name), name
         fresh = MarkovChain(chain.states, chain.matrix, "s2")

@@ -1,4 +1,5 @@
 import json
+import random
 import warnings
 from math import exp
 from pathlib import Path
@@ -18,7 +19,7 @@ from worddp import (
     privatize_markov_offline,
     privatize_offline,
 )
-from worddp.markov import MarkovChain, _word_plan, markov_online_policy
+from worddp.markov import MarkovChain, _WordPlan, _word_plan, markov_online_policy
 from worddp import oracle
 from worddp.oracle import (
     OutputDistribution,
@@ -32,6 +33,7 @@ from helpers import (
     brute_feasible_words,
     chi_square_pvalue,
     loop_law_matrix,
+    loop_plan_rows,
     loop_verify_dp,
     random_chain,
 )
@@ -441,15 +443,15 @@ def _walk_inputs(chain, n):
 
 def _step_factors(chain, word, eps, k):
     """Per position, the walk's factor w**[t != x_i] * beta[i+1](t) / beta[i](s)
-    of every edge (s, t), from the plan's backward messages."""
-    plan = _word_plan(chain, word)
+    of every edge (s, t), from the plan's backward messages, with beta[i](s)
+    the sum of its state's terms before scaling."""
     w = exp(-eps / (2.0 * k))
-    beta, factors = np.ones(chain.n_states), []
-    for target, cum in zip(reversed(word.symbols), plan._messages(w)):
-        weight = np.where(chain._targets == target, 1.0, w) * beta[chain._targets]
-        factors.append(weight / np.repeat(cum[:, -1], [len(s) for s in chain._successors]))
-        beta = cum[:, -1] / cum[:, -1].max()
-    return factors[::-1]
+    betas, factors = _word_plan(chain, word)._messages(w), []
+    sizes = [len(s) for s in chain._successors]
+    for i, target in enumerate(word.symbols):
+        weight = np.where(chain._targets == target, 1.0, w) * betas[i + 1][chain._targets]
+        factors.append(weight / np.repeat(np.add.reduceat(weight, chain._firsts), sizes))
+    return factors
 
 
 def _walk_law(chain, outputs, edge_mass):
@@ -534,6 +536,42 @@ class TestBackwardMessageWalk:
                     cdfs = _word_plan(chain, word).cdfs(0.0, 1)
                     law = _walk_law(chain, feasible, _interval(chain, cdfs))
                     assert np.allclose(law, 1 / len(feasible), rtol=1e-12, atol=0)
+
+
+class TestPlanRowBits:
+    """Every ``mc-offline`` CDF row equals the per-position padded build
+    byte for byte, so the batched passes add in the same order and no
+    seeded release moves."""
+
+    CONFIGS = [(eps, k) for eps in (0.0, 0.01, 1.0, 10.0, 40.0, 1e308) for k in (1, 2)]
+
+    def _assert_rows(self, chain, words):
+        for word in words:
+            plan = _WordPlan(chain, word)
+            for eps, k in self.CONFIGS:
+                rows = [bytes(row) for row in plan.cdfs(eps, k)]
+                assert rows == loop_plan_rows(chain, word, eps, k), (word, eps, k)
+
+    @pytest.mark.parametrize("start", ["anywhere", "green", "could"])
+    def test_storybook_walks(self, start, storybook_chain):
+        chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, start)
+        rnd, words = random.Random(start), []
+        for n in (15, 60, 200):
+            state, symbols = chain.initial, []
+            for _ in range(n):
+                state = rnd.choice(chain.successors(state))
+                symbols.append(state)
+            words.append(Word(tuple(symbols), chain.states))
+        self._assert_rows(chain, words)
+
+    def test_every_short_four_state_word(self, four_state_chain):
+        words = [w for n in (1, 2, 3, 4) for w in four_state_chain.feasible_words(n)]
+        self._assert_rows(four_state_chain, words)
+
+    @pytest.mark.parametrize("name", sorted(_walk_chains()))
+    def test_loop_and_random_chains(self, name):
+        chain = _walk_chains()[name]
+        self._assert_rows(chain, [w for n in (1, 2, 3, 4) for w in _walk_inputs(chain, n)])
 
 
 class TestMatchesLoopReference:
