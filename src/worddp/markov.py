@@ -15,9 +15,11 @@ previously released state; neither leaves the feasible set.
 The whole-word sampler's plan belongs to one (chain, input word): per
 (epsilon, k), the CDF rows of a forward walk over backward messages, built
 for every position by two batched passes before the first walk, so a release
-reads the plan and changes nothing.  Exact counts (the packed suffix table)
-are built only when something asks for them.  A chain keeps the plan of the
-last input word only.  The per-symbol sampler's plan depends on public data
+reads the plan and changes nothing.  A chain keeps the plan of the last
+input word only, built by a release of that word once it is found feasible.
+Exact counts come from the packed suffix DP, which every count and every
+product automaton runs afresh and no plan holds, so counting never touches
+the release cache.  The per-symbol sampler's plan depends on public data
 only: a chain keeps one policy per recent (epsilon, k), which fills its CDF
 rows per previously released state.  A start is a parameter of the chain, not
 a copy of it: every :meth:`MarkovChain.with_initial` of a chain shares its
@@ -429,10 +431,8 @@ def _cached(cache: OrderedDict, key, build):
 
 
 class _WordPlan:
-    """Everything ``mc-offline`` computes for one (chain structure, input
-    word): the walk's CDF rows per (epsilon, k), and the packed suffix
-    table, built only when something asks for counts: all of it for
-    :meth:`count`, one row at a time for :meth:`counts`.
+    """The ``mc-offline`` release's plan for one (chain structure, feasible
+    input word): the walk's CDF rows per (epsilon, k).
 
     The release samples the exponential mechanism over the feasible words,
     P(y) proportional to ``w**d(x, y)`` with ``w = exp(-epsilon/(2k))``, by
@@ -449,71 +449,13 @@ class _WordPlan:
     boundary, so the last successor takes the rounding gap below 1, and a
     successor of zero weight is never drawn.  Every start shares the rows,
     all built before the first walk: a release changes nothing.
-
-    ``_table[i][s]`` packs the feasible completions from position ``i`` in
-    state ``s`` into one Python int: slot ``q`` (bits ``q*B`` up to
-    ``(q+1)*B``) counts those that match the rest of the word in ``q``
-    places.  Going back one position, only the reference symbol's row moves
-    up a slot, and the sum over successors adds whole packed rows.  Every
-    slot, and every partial sum formed while building it, is at most the
-    number of length-``n - i`` walks from ``s``, which never falls as the
-    length grows (every state has a successor); so ``B``, the bit length of
-    the largest number of length-``n`` walks, keeps every slot exact.
     """
 
     def __init__(self, chain: MarkovChain, word: Word):
-        self._n, symbols = len(word), word.symbols
-        self._symbols, self._successors = symbols, chain._successors
+        self._n, self._symbols = len(word), word.symbols
         self._grid, self._cells, self._sources = chain._grid, chain._cells, chain._sources
-        self._walk_cache, self._targets, self._firsts = (
-            chain._walk_cache, chain._targets, chain._firsts)
-        # the first symbol if the rest of the word is feasible, else None
-        follows = chain._successor_sets
-        self._first = None if any(
-            b not in follows[a] for a, b in zip(symbols, symbols[1:])) else symbols[0]
         # (epsilon, k) -> the CDF rows of every position, see _levels
         self._cdfs: OrderedDict[tuple[float, int], list[array]] = OrderedDict()
-
-    @cached_property
-    def _width(self) -> int:
-        """``B``, from the chain's walk counts per length, on the first count."""
-        return max(_cached(self._walk_cache, (self._n,), partial(
-            _count_walks, self._targets, self._firsts))).bit_length()
-
-    def _suffix_rows(self) -> Iterator[list[int]]:
-        """The packed suffix table's rows, from position n back to 0."""
-        width, successors = self._width, self._successors
-        row = [1] * len(successors)
-        yield row
-        for target in reversed(self._symbols):
-            moved = row.copy()
-            moved[target] = row[target] << width
-            row = [sum(map(moved.__getitem__, succ)) for succ in successors]
-            yield row
-
-    @cached_property
-    def _table(self) -> list[list[int]]:
-        """Every position's packed row, built on the first :meth:`count`."""
-        return list(self._suffix_rows())[::-1]
-
-    @cached_property
-    def _first_row(self) -> list[int]:
-        """Position 0's packed row, from a pass that holds one row at a time."""
-        return deque(self._suffix_rows(), maxlen=1)[0]
-
-    def count(self, i: int, needed: int, state: int) -> int:
-        """Feasible completions of positions ``i`` onward from ``state``
-        that mismatch the word there in exactly ``needed`` places."""
-        if not 0 <= needed <= self._n - i:
-            return 0
-        slot = self._n - i - needed
-        return (self._table[i][state] >> (slot * self._width)) & ((1 << self._width) - 1)
-
-    def counts(self, start: int) -> DistanceCounts:
-        """Feasible words after ``start`` at each distance from the word."""
-        packed, width, n = self._first_row[start], self._width, self._n
-        return DistanceCounts(tuple(
-            (packed >> ((n - r) * width)) & ((1 << width) - 1) for r in range(n + 1)))
 
     def cdfs(self, epsilon: float, k: int) -> list[array]:
         """The walk's CDF rows for ``(epsilon, k)``, one array per position,
@@ -551,29 +493,45 @@ class _WordPlan:
         return betas
 
 
-def _word_plan(chain: MarkovChain, word: Word) -> _WordPlan:
-    """The chain's ``mc-offline`` plan for ``word``, built on first use.
+def _suffix_rows(successors: list[tuple[int, ...]], symbols: tuple[int, ...],
+                 width: int) -> Iterator[list[int]]:
+    """The packed suffix table of the reference word ``symbols``, one row
+    per position from n back to 0, each built from the row before it.
 
-    A chain keeps one plan, the last input word's, which every start of
-    the chain shares.  Another word clears it before its own plan is
-    built, so at most one plan per chain structure is alive.
+    Row ``i``'s entry for state ``s`` packs the feasible completions from
+    position ``i`` in state ``s`` into one Python int: slot ``q`` (bits
+    ``q*B`` up to ``(q+1)*B``, with ``B = width``) counts those that match
+    the rest of the word in ``q`` places.  Going back one position, only the
+    reference symbol's row moves up a slot, and the sum over successors adds
+    whole packed rows.  Every slot, and every partial sum formed while
+    building it, is at most the number of length-``n - i`` walks from ``s``,
+    which never falls as the length grows (every state has a successor); so
+    ``B``, the bit length of the largest number of length-``n`` walks, keeps
+    every slot exact.
     """
-    chain._check_word(word)
-    plans = chain._word_plans
-    plan = plans.get(word.symbols)
-    if plan is None:
-        plans.clear()
-        plan = plans[word.symbols] = _WordPlan(chain, word)
-    return plan
+    row = [1] * len(successors)
+    yield row
+    for target in reversed(symbols):
+        moved = row.copy()
+        moved[target] = row[target] << width
+        row = [sum(map(moved.__getitem__, succ)) for succ in successors]
+        yield row
 
 
 def feasible_distance_counts(chain: MarkovChain, word: Word) -> DistanceCounts:
     """Count feasible words at every exact distance from ``word``.
 
-    One dynamic program over (position, state) pairs yields the whole
-    distance profile; counts are exact integers.
+    One pass of the packed suffix DP over (position, state) pairs, holding
+    one row at a time, yields the whole distance profile; counts are exact
+    integers.  Every call runs the DP, and no plan cache is read or changed.
     """
-    return _word_plan(chain, word).counts(chain.initial)
+    chain._check_word(word)
+    n = len(word)
+    width = max(chain._walk_counts(n)).bit_length()
+    packed = deque(_suffix_rows(chain._successors, word.symbols, width),
+                   maxlen=1)[0][chain.initial]
+    return DistanceCounts(tuple(
+        (packed >> ((n - r) * width)) & ((1 << width) - 1) for r in range(n + 1)))
 
 
 class ProductDistanceAutomaton(_DistanceLanguage):
@@ -584,16 +542,31 @@ class ProductDistanceAutomaton(_DistanceLanguage):
     distance exactly ``j`` from the reference; successor-proportional
     sampling makes every such word equally likely.
 
-    The automaton is a view on the word's plan: its path counts are the
-    plan's exact counts with ``j - e`` mismatches still needed.
+    The automaton builds the word's whole packed suffix table once, at
+    construction: its path counts are the table's slots with ``j - e``
+    mismatches still needed.
     """
 
     def __init__(self, chain: MarkovChain, word: Word, distance: int):
+        chain._check_word(word)
         self.chain = chain
-        self._plan = _word_plan(chain, word)
-        self._count, self._next = self._plan.count, chain.successors
-        self._start = chain.initial
+        self._width = max(chain._walk_counts(len(word))).bit_length()
+        self._next, self._start = chain.successors, chain.initial
         super().__init__(word, distance)
+
+    @cached_property
+    def _table(self) -> list[list[int]]:
+        """Every position's packed row, built on the first count, which the
+        constructor makes once it has checked the distance."""
+        return list(_suffix_rows(self.chain._successors, self.word.symbols, self._width))[::-1]
+
+    def _count(self, i: int, needed: int, state: int) -> int:
+        """Feasible completions of positions ``i`` onward from ``state``
+        that mismatch the word there in exactly ``needed`` places."""
+        if not 0 <= needed <= self._n - i:
+            return 0
+        slot = self._n - i - needed
+        return (self._table[i][state] >> (slot * self._width)) & ((1 << self._width) - 1)
 
     def path_count(self, i: int, e: int, state: int) -> int:
         """Accepting paths below product state ``(i, e, state)``."""
@@ -629,14 +602,21 @@ def privatize_markov_offline(
     block of n uniforms, one per position.  Raises
     :class:`InfeasibleWordError` for inputs the chain cannot generate,
     before any plan is built or dropped.
+
+    Only a release builds a plan, and only for a feasible word.  A chain
+    keeps one plan, the last input word's, which every start of the chain
+    shares; another word clears it before its own plan is built, so at most
+    one plan per chain structure is alive.
     """
-    start = chain.initial
-    plan = None
-    if word.alphabet is chain.states:
-        plan = chain._word_plans.get(word.symbols)
-    if plan is None or plan._first not in chain._successor_sets[start]:
+    start, plans = chain.initial, chain._word_plans
+    plan = plans.get(word.symbols)
+    # a held plan's word is feasible, so its first step decides from this start
+    if (plan is None or word.alphabet is not chain.states
+            or word.symbols[0] not in chain._successor_sets[start]):
         chain.require_feasible(word)
-        plan = _word_plan(chain, word)
+        if plan is None:
+            plans.clear()
+            plan = plans[word.symbols] = _WordPlan(chain, word)
     # the start has one walk of length n iff each of its n steps has one successor
     steps, state, successors = plan._n, start, chain._successors
     while len(successors[state]) == 1 and steps:

@@ -21,7 +21,7 @@ import numpy as np
 from worddp.analytics import MODES, resolve_mode
 from worddp.automaton import _check_enumerable
 from worddp.core import Alphabet, MechanismConfig, Word, _integer, hamming_distance
-from worddp.markov import MarkovChain, MarkovOnlinePolicy, _WordPlan
+from worddp.markov import MarkovChain, MarkovOnlinePolicy, feasible_distance_counts
 from worddp.mechanisms import (_class_law, _logsumexp, _match_probability, _substitution,
                                distance_distribution, online_policy)
 
@@ -223,8 +223,7 @@ def _law_matrix(
         by_distance = []
         for word in inputs:
             chain.require_feasible(word)
-            # not through the chain's cache, which would evict its release plans
-            counts = _WordPlan(chain, word).counts(chain.initial)
+            counts = feasible_distance_counts(chain, word)
             # each class size times exp(-eps*d/(2k)), from the exact counts' logs
             dist = _class_law(np.array([log(c) if c else -np.inf for c in counts]), eps, k)
             # step ratios telescope: dist[d] splits evenly over the counts[d] words

@@ -13,7 +13,7 @@ from math import exp, log
 import numpy as np
 
 from worddp import Alphabet, MarkovChain, Word, hamming_distance
-from worddp.markov import _word_plan, markov_online_policy
+from worddp.markov import feasible_distance_counts, markov_online_policy
 from worddp.mechanisms import (
     OnlinePolicy,
     _class_law,
@@ -250,7 +250,7 @@ def _loop_markov_offline_law(chain, word: Word, config) -> OutputDistribution:
     n = len(word)
     _check_exact_size(n, chain.n_states)
     chain.require_feasible(word)
-    counts = _word_plan(chain, word).counts(chain.initial)
+    counts = feasible_distance_counts(chain, word)
     log_sizes = np.full(n + 1, -np.inf)
     for l in counts.support():
         log_sizes[l] = log(counts[l])

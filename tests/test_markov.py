@@ -39,7 +39,6 @@ from worddp import (
 from worddp import markov
 from worddp.cli import ExperimentSpec, run_experiment
 from worddp.markov import _ONLINE_POLICY_LIMIT, MarkovOnlinePolicy
-from worddp.markov import _word_plan
 from worddp.oracle import exact_law
 from helpers import (
     TopUniformRng,
@@ -438,6 +437,33 @@ def walk(chain: MarkovChain, rnd: random.Random, n: int) -> Word:
     return Word(tuple(symbols), chain.states)
 
 
+@pytest.fixture
+def dp_widths(monkeypatch) -> list[int]:
+    """The slot width of every packed suffix DP run from here on."""
+    widths, dp = [], markov._suffix_rows
+
+    def recording(successors, symbols, width):
+        widths.append(width)
+        return dp(successors, symbols, width)
+
+    monkeypatch.setattr(markov, "_suffix_rows", recording)
+    return widths
+
+
+@pytest.fixture
+def plan_builds(monkeypatch) -> list[tuple[int, ...]]:
+    """The input word of every ``mc-offline`` plan built from here on."""
+    built = []
+
+    class CountingPlan(markov._WordPlan):
+        def __init__(self, chain, word):
+            built.append(word.symbols)
+            super().__init__(chain, word)
+
+    monkeypatch.setattr(markov, "_WordPlan", CountingPlan)
+    return built
+
+
 class TestPackedSuffixTable:
     @given(
         st.integers(0, 10_000),
@@ -510,6 +536,13 @@ class TestProductAutomaton:
             )
             assert sorted(w.symbols for w in pa.iter_language()) == expected
             assert pa.language_size == len(expected)
+
+    def test_out_of_range_distance_runs_no_dp(self, four_state_chain, dp_widths):
+        word = four_state_chain.word(["s1", "s2", "s3"])
+        for distance in (-1, 4):
+            with pytest.raises(ValueError, match="target distance"):
+                ProductDistanceAutomaton(four_state_chain, word, distance)
+        assert dp_widths == []
 
     def test_empty_class_rejected(self):
         chain = cycle_chain()
@@ -694,11 +727,11 @@ class TestMarkovOffline:
 
 
 class TestFeasibilityFromThePlan:
-    """A release reads the input's feasibility from a held plan, which
-    keeps the word's first symbol when the rest of the word is feasible:
-    the input is feasible from ``start`` exactly when that symbol may follow
-    ``start``.  Without a plan, or when it may not, the release checks the
-    word step by step before building anything."""
+    """A release reads the input's feasibility from a held plan, which only
+    a release of a feasible word builds, so the rest of the word is
+    feasible: the input is feasible from ``start`` exactly when its first
+    symbol may follow ``start``.  Without a plan, or when it may not, the
+    release checks the word step by step before building anything."""
 
     @pytest.mark.parametrize("hold_own_plan", [False, True])
     def test_refuses_exactly_the_infeasible_words(
@@ -707,16 +740,19 @@ class TestFeasibilityFromThePlan:
         structure = MarkovChain(four_state_chain.states, four_state_chain.matrix)
         m = structure.n_states
         cfg = MechanismConfig(epsilon=1.0, k=1)
-        refused = released = 0
+        refused = released = refused_with_own_plan = 0
         for start in range(m):
             chain = structure.with_initial(start)
             for n in range(1, 5):
                 for symbols in itertools.product(range(m), repeat=n):
                     word = Word(symbols, chain.states)
                     if hold_own_plan:
-                        # builds the plan whether or not the word is feasible
-                        feasible_distance_counts(chain, word)
-                        assert list(chain._word_plans) == [symbols]
+                        # the plan a release from another start holds, if any may
+                        other = next((c for c in map(structure.with_initial, range(m))
+                                      if c.initial != start and c.is_feasible(word)), None)
+                        if other is not None:
+                            privatize_markov_offline(other, word, cfg, make_rng(0))
+                            assert list(chain._word_plans) == [symbols]
                     held = dict(chain._word_plans)
                     bad = chain.first_infeasible_step(word)
                     if bad is None:
@@ -737,7 +773,10 @@ class TestFeasibilityFromThePlan:
                     for key, plan in held.items():
                         assert chain._word_plans[key] is plan
                     refused += 1
+                    refused_with_own_plan += symbols in held
         assert refused > 0 and released > 0
+        # a held plan of the word itself decided some refusals
+        assert refused_with_own_plan > 0 or not hold_own_plan
         assert refused + released == m * sum(m ** n for n in range(1, 5))
 
     def test_held_plan_of_another_start_decides_per_start(self, four_state_chain):
@@ -748,12 +787,29 @@ class TestFeasibilityFromThePlan:
         privatize_markov_offline(structure.with_initial("s0"), word, cfg, make_rng(0))
         plan = structure._word_plans[word.symbols]
         bad = structure.with_initial("s3").first_infeasible_step(word)
-        assert bad is not None and plan.count(0, 0, 3) == 0
+        assert bad is not None
+        assert feasible_distance_counts(structure.with_initial("s3"), word)[0] == 0
         with pytest.raises(InfeasibleWordError) as err:
             privatize_markov_offline(structure.with_initial("s3"), word, cfg,
                                      make_rng(0))
         assert (err.value.position, err.value.from_token, err.value.to_token) == bad
         assert structure._word_plans == {word.symbols: plan}
+
+    def test_held_plan_serves_only_the_chains_alphabet(self, four_state_chain):
+        chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
+        word = chain.word(["s1", "s2"])
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        privatize_markov_offline(chain, word, cfg, make_rng(0))
+        plan = chain._word_plans[word.symbols]
+        # an equal alphabet is checked step by step, then reads the held plan
+        equal = Word(word.symbols, Alphabet(chain.states.tokens))
+        assert equal.alphabet is not chain.states
+        assert (privatize_markov_offline(chain, equal, cfg, make_rng(1))
+                == privatize_markov_offline(chain, word, cfg, make_rng(1)))
+        other = Word(word.symbols, Alphabet(("a", "b", "c", "d")))
+        with pytest.raises(ValueError, match="not over this chain's state set"):
+            privatize_markov_offline(chain, other, cfg, make_rng(0))
+        assert chain._word_plans == {word.symbols: plan}
 
 
 class TestWordPlanCache:
@@ -784,6 +840,32 @@ class TestWordPlanCache:
                                  make_rng(0))
         privatize_markov_offline(chain, sentence, cfg, make_rng(0))
         assert chain._word_plans[sentence.symbols] is not plan
+
+    def test_counting_another_word_keeps_the_plan(
+        self, storybook_chain, sample_tokens, plan_builds
+    ):
+        chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
+        held, other = chain.word(sample_tokens), walk(chain, random.Random(9), 15)
+        assert held != other
+        cfg = MechanismConfig(epsilon=1.0, k=1)
+        privatize_markov_offline(chain, held, cfg, make_rng(0))
+        plan = chain._word_plans[held.symbols]
+        counts = feasible_distance_counts(chain, other)
+        ProductDistanceAutomaton(chain, other, counts.support()[-1])
+        assert chain._word_plans == {held.symbols: plan}
+        privatize_markov_offline(chain, held, cfg, make_rng(1))
+        assert chain._word_plans[held.symbols] is plan
+        assert plan_builds == [held.symbols]
+
+    def test_infeasible_words_build_no_plan(self, four_state_chain, plan_builds):
+        chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
+        word = chain.word(["s1", "s3", "s1"])  # s1 -> s3 impossible
+        counts = feasible_distance_counts(chain, word)
+        ProductDistanceAutomaton(chain, word, counts.support()[0])
+        with pytest.raises(InfeasibleWordError):
+            privatize_markov_offline(chain, word, MechanismConfig(epsilon=1.0, k=1),
+                                     make_rng(0))
+        assert plan_builds == [] and chain._word_plans == {}
 
     def test_memory_stays_flat_under_fresh_words(self, storybook_chain):
         # one n = 60 plan takes about 68 KB beside 0.8 MB already traced,
@@ -848,12 +930,15 @@ class TestSlotWidthCache:
         feasible_distance_counts(fresh, walk(fresh, rnd, 15))
         assert calls == [15, 60, 15]
 
-    def test_width_is_the_bit_length_of_the_walk_counts(self, storybook_chain):
+    def test_width_is_the_bit_length_of_the_walk_counts(self, storybook_chain, dp_widths):
         chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
-        rnd = random.Random(21)
+        rnd, expected = random.Random(21), []
         for n in (1, 15, 60, 200):
-            plan = _word_plan(chain, walk(chain, rnd, n))
-            assert plan._width == max(chain._walk_counts(n)).bit_length()
+            word = walk(chain, rnd, n)
+            feasible_distance_counts(chain, word)
+            ProductDistanceAutomaton(chain, word, 0)
+            expected += [max(chain._walk_counts(n)).bit_length()] * 2
+        assert dp_widths == expected
 
     def test_one_entry_per_length(self, storybook_chain):
         chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
@@ -890,13 +975,14 @@ class TestWalkCounts:
         assert max(storybook_chain._walk_counts(60)) > 2**63
 
     def test_slot_width_is_the_loop_walks_bit_length(
-        self, four_state_chain, storybook_chain
+        self, four_state_chain, storybook_chain, dp_widths
     ):
-        rnd = random.Random(25)
+        rnd, expected = random.Random(25), []
         for chain in walk_count_chains(four_state_chain, storybook_chain):
             for n in WALK_LENGTHS:
-                plan = _word_plan(chain, walk(chain, rnd, n))
-                assert plan._width == max(loop_walks(chain, n)).bit_length()
+                feasible_distance_counts(chain, walk(chain, rnd, n))
+                expected.append(max(loop_walks(chain, n)).bit_length())
+        assert dp_widths == expected
 
 
 class TestWalkRowCache:
@@ -917,7 +1003,7 @@ class TestWalkRowCache:
 
     def test_refused_rows_keep_the_held_rows(self, four_state_chain):
         chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
-        plan = _word_plan(chain, chain.word(["s1", "s2", "s3"]))
+        plan = markov._WordPlan(chain, chain.word(["s1", "s2", "s3"]))
         held = {(eps, k): plan.cdfs(eps, k) for k in (1, 2) for eps in (1, 2, 3, 4)}
         assert len(held) == _ONLINE_POLICY_LIMIT
         with pytest.raises(ValueError, match="epsilon must be finite"):
@@ -928,7 +1014,9 @@ class TestWalkRowCache:
         structure = MarkovChain(storybook_chain.states, storybook_chain.matrix)
         word = structure.word(sample_tokens)
         grid = (0.01, 0.1, 1.0, 5.0, 10.0)
-        plan = _word_plan(structure, word)
+        privatize_markov_offline(structure.with_initial("anywhere"), word,
+                                 MechanismConfig(epsilon=grid[0], k=1), make_rng(0))
+        plan = structure._word_plans[word.symbols]
         first = [plan.cdfs(eps, 1) for eps in grid]
         for start in ("anywhere", "am", "Sam"):  # the sentence is feasible from each
             chain = structure.with_initial(start)
@@ -940,21 +1028,22 @@ class TestWalkRowCache:
 
 
 class TestWordPlan:
-    def test_a_release_builds_no_suffix_table(self, storybook_chain, sample_tokens):
+    def test_a_release_builds_no_suffix_table(
+        self, storybook_chain, sample_tokens, dp_widths
+    ):
         chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, "anywhere")
         word = chain.word(sample_tokens)
         for eps in (0.0, 1.0, 10.0):
             privatize_markov_offline(chain, word, MechanismConfig(epsilon=eps, k=1),
                                      make_rng(0))
+        assert dp_widths == []
         plan = chain._word_plans[word.symbols]
-        assert not {"_table", "_first_row"} & vars(plan).keys()
-        # counts keep one row, on the same plan; the automaton, every row
+        # counts run the DP on every call, the automaton once; neither holds a plan
         feasible_distance_counts(chain, word)
-        assert "_first_row" in vars(plan) and "_table" not in vars(plan)
-        table = ProductDistanceAutomaton(chain, word, 3)._plan._table
+        ProductDistanceAutomaton(chain, word, 3)
         feasible_distance_counts(chain, word)
-        assert chain._word_plans[word.symbols] is plan and plan._table is table
-        assert plan._first_row == table[0]
+        assert len(dp_widths) == 3
+        assert chain._word_plans == {word.symbols: plan}
 
     def test_one_live_plan(self, storybook_chain, monkeypatch):
         live = weakref.WeakSet()
@@ -1027,7 +1116,9 @@ class TestHistoryFreeRows:
         structure = MarkovChain(storybook_chain.states, storybook_chain.matrix)
         word = structure.word(sample_tokens)
         grid = (0.01, 0.1, 1.0, 5.0, 10.0)
-        plan = _word_plan(structure, word)
+        privatize_markov_offline(structure.with_initial("anywhere"), word,
+                                 MechanismConfig(epsilon=grid[0], k=1), make_rng(0))
+        plan = structure._word_plans[word.symbols]
         for eps in grid:
             plan.cdfs(eps, 1)
         built = copy.deepcopy(vars(plan))
@@ -1088,23 +1179,15 @@ class TestSharedStructure:
         assert fresh._word_plans is not chain._word_plans
         assert fresh._online_policies is not chain._online_policies
         word = chain.word(["s1", "s2"])
-        feasible_distance_counts(moved, word)
+        privatize_markov_offline(moved, word, MechanismConfig(epsilon=1.0, k=1), make_rng(0))
         markov_online_policy(moved, 1.0, 1)
         assert list(chain._word_plans) == [word.symbols]
         assert list(chain._online_policies) == [(1.0, 1)]
         assert not fresh._word_plans and not fresh._online_policies
 
     def test_experiment_builds_one_plan_for_three_starts(
-        self, four_state_chain, monkeypatch
+        self, four_state_chain, plan_builds
     ):
-        built = []
-
-        class CountingPlan(markov._WordPlan):
-            def __init__(self, chain, word):
-                built.append(word.symbols)
-                super().__init__(chain, word)
-
-        monkeypatch.setattr(markov, "_WordPlan", CountingPlan)
         chain = MarkovChain(four_state_chain.states, four_state_chain.matrix, "s0")
         starts = ("s0", "s1", "s2")  # s1 may follow each of them
         tokens = ("s1", "s2", "s1", "s2")
@@ -1115,7 +1198,7 @@ class TestSharedStructure:
             input_tokens=tokens, seed=0, chain=chain, initial_states=starts,
         ))
         assert [row["initial_state"] for row in rows] == list(starts) * 3
-        assert built == [word.symbols]
+        assert plan_builds == [word.symbols]
 
     @pytest.mark.parametrize("name", ["four-state", "storybook"])
     def test_interleaved_starts_equal_independent_chains(
@@ -1386,7 +1469,7 @@ class TestStreamContract:
             out = privatize_markov_offline(chain, word, cfg, rng=rng)
             assert rng.bit_generator.state == expected_state
             # the walk step by step, one scalar uniform per position
-            cdfs = _word_plan(chain, word).cdfs(eps, 1)
+            cdfs = chain._word_plans[word.symbols].cdfs(eps, 1)
             state, stepped = chain.initial, []
             for cdf in cdfs:
                 succs = chain.successors(state)
@@ -1586,7 +1669,7 @@ class TestClampFreeStep:
             words = [w for n in range(1, 5) for w in chain.feasible_words(n)]
         forced = zero_mass = 0
         for word in words:
-            for cdf in _word_plan(chain, word).cdfs(eps, 1):
+            for cdf in markov._WordPlan(chain, word).cdfs(eps, 1):
                 for state, succs in enumerate(chain._successors):
                     lo, hi = chain._lo[state], chain._hi[state]
 

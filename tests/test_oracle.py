@@ -19,7 +19,7 @@ from worddp import (
     privatize_markov_offline,
     privatize_offline,
 )
-from worddp.markov import MarkovChain, _WordPlan, _word_plan, markov_online_policy
+from worddp.markov import MarkovChain, _WordPlan, markov_online_policy
 from worddp import oracle
 from worddp.oracle import (
     OutputDistribution,
@@ -289,8 +289,9 @@ class TestVerifyDp:
     def test_check_keeps_the_chains_release_plans(self, data_dir):
         chain = MarkovChain.load(data_dir / "four_state_chain.json")
         word = chain.word(["s1", "s2", "s3"])
-        plan = _word_plan(chain, word)
         cfg = MechanismConfig(epsilon=1.0, k=1, seed=0)
+        privatize_markov_offline(chain, word, cfg)
+        plan = chain._word_plans[word.symbols]
         verify_dp("mc-offline", n=3, config=cfg, chain=chain)
         assert dict(chain._word_plans) == {word.symbols: plan}
 
@@ -446,7 +447,7 @@ def _step_factors(chain, word, eps, k):
     of every edge (s, t), from the plan's backward messages, with beta[i](s)
     the sum of its state's terms before scaling."""
     w = exp(-eps / (2.0 * k))
-    betas, factors = _word_plan(chain, word)._messages(w), []
+    betas, factors = _WordPlan(chain, word)._messages(w), []
     sizes = [len(s) for s in chain._successors]
     for i, target in enumerate(word.symbols):
         weight = np.where(chain._targets == target, 1.0, w) * betas[i + 1][chain._targets]
@@ -492,11 +493,12 @@ class TestBackwardMessageWalk:
         worst_factor = worst_interval = 0.0
         for n in (1, 2, 3, 4):
             for word in _walk_inputs(chain, n):
+                plan = _WordPlan(chain, word)
                 for eps, k in self.CONFIGS:
                     law = exact_law("mc-offline", word, MechanismConfig(epsilon=eps, k=k),
                                     chain)
                     factors = _step_factors(chain, word, eps, k)
-                    cdfs = _word_plan(chain, word).cdfs(eps, k)
+                    cdfs = plan.cdfs(eps, k)
                     by_factor = _walk_law(chain, law.words, lambda i, s, e: factors[i][e])
                     by_interval = _walk_law(chain, law.words, _interval(chain, cdfs))
                     worst_factor = max(worst_factor, np.max(
@@ -533,7 +535,7 @@ class TestBackwardMessageWalk:
                     for _ in range(10):
                         assert privatize_markov_offline(chain, word, huge, rng) == word
                         privatize_markov_offline(chain, word, zero, rng)
-                    cdfs = _word_plan(chain, word).cdfs(0.0, 1)
+                    cdfs = chain._word_plans[word.symbols].cdfs(0.0, 1)
                     law = _walk_law(chain, feasible, _interval(chain, cdfs))
                     assert np.allclose(law, 1 / len(feasible), rtol=1e-12, atol=0)
 
