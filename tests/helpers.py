@@ -8,6 +8,7 @@ and samplers under test.
 from __future__ import annotations
 
 import itertools
+import random
 from math import exp, log
 
 import numpy as np
@@ -89,6 +90,39 @@ def random_chain(seed: int, n_states: int = 4) -> MarkovChain:
         # retry until short feasible words exist beyond a single path
         if chain.count_feasible_words(3) >= 4:
             return chain
+
+
+def walk(chain: MarkovChain, rnd: random.Random, n: int) -> Word:
+    """A feasible word taking a uniformly chosen successor at every step."""
+    prev, symbols = chain.initial, []
+    for _ in range(n):
+        prev = rnd.choice(chain.successors(prev))
+        symbols.append(prev)
+    return Word(tuple(symbols), chain.states)
+
+
+def large_chain() -> MarkovChain:
+    """2,000 states of 10 successors each: a 10-rank grid of 20,000 cells,
+    so the plan build takes 3 positions per block."""
+    rng = np.random.default_rng(2000)
+    m = 2000
+    matrix = np.zeros((m, m))
+    for s in range(m):
+        matrix[s, rng.choice(m, 10, replace=False)] = 0.1
+    return MarkovChain([f"s{i}" for i in range(m)], matrix, 0)
+
+
+def hub_chain() -> MarkovChain:
+    """500 states of 10 successors each and a hub, the start, followed by
+    all 500: a 500-rank grid of 250,500 cells for 5,500 edges, so the plan
+    build takes one position per block."""
+    rng = np.random.default_rng(500)
+    m = 500
+    matrix = np.zeros((m + 1, m + 1))
+    for s in range(m):
+        matrix[s, rng.choice(m + 1, 10, replace=False)] = 0.1
+    matrix[m, :m] = 1 / m
+    return MarkovChain([f"s{i}" for i in range(m)] + ["hub"], matrix, "hub")
 
 
 def loop_suffix_table(chain: MarkovChain, word: Word) -> list[list[list[int]]]:

@@ -44,10 +44,13 @@ from helpers import (
     TopUniformRng,
     brute_feasible_words,
     chi_square_pvalue,
+    hub_chain,
+    large_chain,
     loop_online_entry,
     loop_suffix_table,
     loop_walks,
     random_chain,
+    walk,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "mc_offline_golden.json"
@@ -426,15 +429,6 @@ def test_random_chain_refuses_a_single_state():
     # retry loop would wait on forever
     with pytest.raises(ValueError, match="at least two states"):
         random_chain(1, 1)
-
-
-def walk(chain: MarkovChain, rnd: random.Random, n: int) -> Word:
-    """A feasible word taking a uniformly chosen successor at every step."""
-    prev, symbols = chain.initial, []
-    for _ in range(n):
-        prev = rnd.choice(chain.successors(prev))
-        symbols.append(prev)
-    return Word(tuple(symbols), chain.states)
 
 
 @pytest.fixture
@@ -1067,13 +1061,8 @@ class TestWordPlan:
 
     def test_plan_memory_on_a_large_chain(self):
         # 2,000 states of 10 successors each at n = 60: the rows hold
-        # 60 * 20,000 doubles, and the build goes position by position
-        rng = np.random.default_rng(2000)
-        m = 2000
-        matrix = np.zeros((m, m))
-        for s in range(m):
-            matrix[s, rng.choice(m, 10, replace=False)] = 0.1
-        chain = MarkovChain([f"s{i}" for i in range(m)], matrix, 0)
+        # 60 * 20,000 doubles, and the build goes block by block
+        chain = large_chain()
         word = walk(chain, random.Random(60), 60)
         tracemalloc.start()
         try:
@@ -1089,13 +1078,7 @@ class TestWordPlan:
         # 500 states of 10 successors each and a hub followed by all 500: the
         # rank-major grid is 500 ranks deep for 5,500 edges; the padded build
         # that went one position at a time peaked at 10,897,033 bytes here
-        rng = np.random.default_rng(500)
-        m = 500
-        matrix = np.zeros((m + 1, m + 1))
-        for s in range(m):
-            matrix[s, rng.choice(m + 1, 10, replace=False)] = 0.1
-        matrix[m, :m] = 1 / m
-        chain = MarkovChain([f"s{i}" for i in range(m)] + ["hub"], matrix, "hub")
+        chain = hub_chain()
         word = walk(chain, random.Random(60), 60)
         tracemalloc.start()
         try:

@@ -32,10 +32,13 @@ from worddp.oracle import (
 from helpers import (
     brute_feasible_words,
     chi_square_pvalue,
+    hub_chain,
+    large_chain,
     loop_law_matrix,
     loop_plan_rows,
     loop_verify_dp,
     random_chain,
+    walk,
 )
 
 AB2 = Alphabet(("a", "b"))
@@ -547,24 +550,26 @@ class TestPlanRowBits:
 
     CONFIGS = [(eps, k) for eps in (0.0, 0.01, 1.0, 10.0, 40.0, 1e308) for k in (1, 2)]
 
-    def _assert_rows(self, chain, words):
+    def _assert_rows(self, chain, words, configs=CONFIGS):
         for word in words:
             plan = _WordPlan(chain, word)
-            for eps, k in self.CONFIGS:
+            for eps, k in configs:
                 rows = [bytes(row) for row in plan.cdfs(eps, k)]
                 assert rows == loop_plan_rows(chain, word, eps, k), (word, eps, k)
 
     @pytest.mark.parametrize("start", ["anywhere", "green", "could"])
     def test_storybook_walks(self, start, storybook_chain):
         chain = MarkovChain(storybook_chain.states, storybook_chain.matrix, start)
-        rnd, words = random.Random(start), []
-        for n in (15, 60, 200):
-            state, symbols = chain.initial, []
-            for _ in range(n):
-                state = rnd.choice(chain.successors(state))
-                symbols.append(state)
-            words.append(Word(tuple(symbols), chain.states))
-        self._assert_rows(chain, words)
+        rnd = random.Random(start)
+        self._assert_rows(chain, [walk(chain, rnd, n) for n in (15, 60, 200)])
+
+    @pytest.mark.parametrize("build", [hub_chain, large_chain])
+    def test_one_and_three_positions_per_block(self, build):
+        # the hub chain's grid fills a block alone; the large chain's takes
+        # three positions a block, so n = 60 ends in a partial one
+        chain = build()
+        self._assert_rows(chain, [walk(chain, random.Random(60), 60)],
+                          [(eps, 1) for eps in (0.0, 1.0, 40.0, 1e308)])
 
     def test_every_short_four_state_word(self, four_state_chain):
         words = [w for n in (1, 2, 3, 4) for w in four_state_chain.feasible_words(n)]
