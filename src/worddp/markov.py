@@ -14,7 +14,7 @@ previously released state; neither leaves the feasible set.
 
 The whole-word sampler's plan belongs to one (chain, input word): per
 (epsilon, k), the CDF rows of a forward walk over backward messages, built
-for every position by two batched passes before the first walk, so a release
+for every position by one backward pass before the first walk, so a release
 reads the plan and changes nothing.  A chain keeps the plan of the last
 input word only, built by a release of that word once it is found feasible.
 Exact counts come from the packed suffix DP, which every count and every
@@ -44,7 +44,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
-from math import exp
+from math import exp, inf
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -85,9 +85,7 @@ class InfeasibleWordError(ValueError):
     """A word uses a transition the chain assigns zero probability."""
 
     def __init__(self, position: int, from_token: str, to_token: str):
-        self.position = position
-        self.from_token = from_token
-        self.to_token = to_token
+        self.position, self.from_token, self.to_token = position, from_token, to_token
         super().__init__(
             f"infeasible transition at position {position}: "
             f"{from_token!r} -> {to_token!r} has zero probability"
@@ -145,6 +143,17 @@ class MarkovChain:
             tuple(self._edges[a:b]) for a, b in zip(bounds, bounds[1:])
         ]
         self._successor_sets = [frozenset(s) for s in self._successors]
+        # each state's run of forced steps, the states from it on with one
+        # successor; a run into a forced cycle meets its own inf marks
+        forced = self._forced = [None if len(s) == 1 else 0 for s in self._successors]
+        for state in range(m):
+            path = []
+            while forced[state] is None:
+                path.append(state)
+                forced[state], state = inf, self._successors[state][0]
+            run = forced[state]
+            for p in reversed(path):
+                run = forced[p] = run + 1
         # the last input word's mc-offline plan, shared by every start
         self._word_plans: dict[tuple[int, ...], _WordPlan] = {}
         # word length -> walk counts from each state, which no input word changes
@@ -321,13 +330,8 @@ def _is_state(name, states: Alphabet) -> bool:
 
 def tokenize(text: str, lowercase: bool = False) -> list[str]:
     """Whitespace tokenizer that strips surrounding punctuation."""
-    tokens = []
-    for raw in text.split():
-        tok = raw.strip(string.punctuation)
-        if not tok:
-            continue
-        tokens.append(tok.lower() if lowercase else tok)
-    return tokens
+    tokens = (raw.strip(string.punctuation) for raw in text.split())
+    return [tok.lower() if lowercase else tok for tok in tokens if tok]
 
 
 def build_bigram(
@@ -439,16 +443,16 @@ class _WordPlan:
     backward messages and a forward walk: with ``beta[n] = 1`` and
     ``beta[i](s)`` the sum over the successors ``t`` of ``s`` of
     ``w**[t != x_i] * beta[i+1](t)`` (scaled to a largest entry of 1), the
-    walk steps from ``s`` to ``t`` in proportion to that term.  A first pass
-    computes the betas; a second gathers blocks of positions' terms through
-    the chain's rank-major successor grid, whose running sums over each
-    state's total are one ``array('d')`` per position, laid out as the
-    chain's edges.  Both add along the rank axis a whole row at a time, so
-    each state's terms add in successor order (a pairwise sum would change
-    the low bits).  A step searches its state's span without the last
-    boundary, so the last successor takes the rounding gap below 1, and a
-    successor of zero weight is never drawn.  Every start shares the rows,
-    all built before the first walk: a release changes nothing.
+    walk steps from ``s`` to ``t`` in proportion to that term.  One backward
+    pass gathers each position's terms through the chain's rank-major
+    successor grid and takes their running sums along the rank axis, which
+    add each state's terms in successor order (a pairwise sum would change
+    the low bits); over each state's total, the last, they are one
+    ``array('d')`` per position, laid out as the chain's edges.  A step
+    searches its state's span without the last boundary, so the last
+    successor takes the rounding gap below 1, and a successor of zero
+    weight is never drawn.  Every start shares the rows, all built before
+    the first walk: a release changes nothing.
     """
 
     def __init__(self, chain: MarkovChain, word: Word):
@@ -463,34 +467,35 @@ class _WordPlan:
         return _cached(self._cdfs, (epsilon, k), self._levels)
 
     def _levels(self, epsilon: float, k: int) -> list[array]:
-        """The second pass, in blocks of about 2**16 grid cells to bound memory."""
+        """Every position's rows, cut block by block from the running sums."""
         _check_params(epsilon, k)
+        blocks = []
         # w is 0.0 once it underflows, and the walk echoes the input
-        betas = self._messages(w := exp(-epsilon / (2.0 * k)))[1:]
-        weights, at = betas * w, (range(self._n), self._symbols)
-        weights[at] = betas[at]
-        grid, step, levels = self._grid, max(1, (1 << 16) // self._grid.size), []
-        for i in range(0, self._n, step):
-            cum = weights[i:i + step].take(grid, axis=1)
-            for rank in range(1, len(grid)):
-                cum[:, rank] += cum[:, rank - 1]
+        for cum in self._running_sums(exp(-epsilon / (2.0 * k))):
             edges = cum.reshape(len(cum), -1).take(self._cells, axis=1)
             totals = cum[:, -1].take(self._sources, axis=1)
             # a state no walk enters at this position may have total 0
             rows = np.divide(edges, totals, out=np.ones_like(edges), where=totals > 0)
-            levels += [array("d", row.tobytes()) for row in rows]
-        return levels
+            blocks.append([array("d", row.tobytes()) for row in rows])
+        return [row for block in reversed(blocks) for row in block]
 
-    def _messages(self, w: float) -> np.ndarray:
-        """The first pass: ``beta[i]`` up to i = n, and 0 for padded cells."""
-        betas = np.zeros((self._n + 1, self._grid.shape[1] + 1))
-        betas[-1, :-1] = 1.0
-        for i, target in reversed(list(enumerate(self._symbols))):
-            weight = betas[i + 1] * w
-            weight[target] = betas[i + 1, target]
-            total = weight.take(self._grid).sum(axis=0)
-            betas[i, :-1] = total / total.max()
-        return betas
+    def _running_sums(self, w: float) -> Iterator[np.ndarray]:
+        """The one backward pass: per block of about 2**16 grid cells, last
+        first, the (position, rank, state) running sums of the terms; a
+        position's last rank is its beta before scaling."""
+        grid, step = self._grid, max(1, (1 << 16) // self._grid.size)
+        # the beta the next step back reads, and 0 for padded cells
+        beta = np.append(np.ones(grid.shape[1]), 0.0)
+        scaled = beta[:-1]
+        for start in reversed(range(0, self._n, step)):
+            targets = self._symbols[start:start + step]
+            cum = np.empty((len(targets), *grid.shape))
+            for out, target in zip(cum[::-1], reversed(targets)):
+                weight = beta * w
+                weight[target] = beta[target]
+                total = np.add.accumulate(weight.take(grid), out=out)[-1]
+                np.divide(total, np.maximum.reduce(total), out=scaled)
+            yield cum
 
 
 def _suffix_rows(successors: list[tuple[int, ...]], symbols: tuple[int, ...],
@@ -617,11 +622,8 @@ def privatize_markov_offline(
         if plan is None:
             plans.clear()
             plan = plans[word.symbols] = _WordPlan(chain, word)
-    # the start has one walk of length n iff each of its n steps has one successor
-    steps, state, successors = plan._n, start, chain._successors
-    while len(successors[state]) == 1 and steps:
-        steps, state = steps - 1, successors[state][0]
-    if not steps:
+    # the start has one walk of length n iff its first n steps are forced
+    if chain._forced[start] >= plan._n:
         logger.warning("chain admits no feasible word other than the input; the "
                        "whole-word mechanism degenerates to the identity and "
                        "provides no privacy")
@@ -659,9 +661,7 @@ class MarkovOnlinePolicy:
 
     def __init__(self, chain: MarkovChain, epsilon: float, k: int):
         _check_params(epsilon, k)
-        self.chain = chain
-        self.epsilon = epsilon
-        self.k = k
+        self.chain, self.epsilon, self.k = chain, epsilon, k
         self._decay = exp(-epsilon / k)
         # previous output -> (its successors, CDF row per true state)
         self._table: dict[int, tuple[tuple[int, ...], list[list[float]]]] = {}

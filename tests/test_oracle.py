@@ -1,6 +1,8 @@
 import json
+import logging
 import random
 import warnings
+from functools import partial
 from math import exp
 from pathlib import Path
 
@@ -447,10 +449,13 @@ def _walk_inputs(chain, n):
 
 def _step_factors(chain, word, eps, k):
     """Per position, the walk's factor w**[t != x_i] * beta[i+1](t) / beta[i](s)
-    of every edge (s, t), from the plan's backward messages, with beta[i](s)
-    the sum of its state's terms before scaling."""
+    of every edge (s, t), from the backward messages of the plan's one pass,
+    with beta[i](s) the sum of its state's terms before scaling."""
     w = exp(-eps / (2.0 * k))
-    betas, factors = _WordPlan(chain, word)._messages(w), []
+    blocks = list(_WordPlan(chain, word)._running_sums(w))[::-1]
+    totals = np.concatenate([cum[:, -1] for cum in blocks])
+    betas, factors = np.vstack([totals / totals.max(axis=1, keepdims=True),
+                                np.ones(chain.n_states)]), []
     sizes = [len(s) for s in chain._successors]
     for i, target in enumerate(word.symbols):
         weight = np.where(chain._targets == target, 1.0, w) * betas[i + 1][chain._targets]
@@ -579,6 +584,53 @@ class TestPlanRowBits:
     def test_loop_and_random_chains(self, name):
         chain = _walk_chains()[name]
         self._assert_rows(chain, [w for n in (1, 2, 3, 4) for w in _walk_inputs(chain, n)])
+
+
+def forced_chain(prefix: int, cycle: bool = False) -> MarkovChain:
+    """s0 -> s1 -> ... -> s``prefix``, one successor a step; from there the
+    chain branches to s0 and itself, or, with ``cycle``, goes back to s1."""
+    matrix = np.eye(prefix + 1, k=1)
+    if cycle:
+        matrix[prefix, 1] = 1.0
+    else:
+        matrix[prefix, [0, prefix]] = 0.5
+    return MarkovChain([f"s{i}" for i in range(prefix + 1)], matrix, initial=0)
+
+
+class TestIdentityWarning:
+    """``mc-offline`` warns that it degenerates to the identity exactly when
+    its start has one feasible word of the input's length."""
+
+    CHAINS = dict(
+        LOOP_CHAINS,
+        cycle=lambda: MarkovChain(("a", "b", "c"), np.eye(3, k=1) + np.eye(3, k=-2)),
+        **{f"forced-{k}": partial(forced_chain, k) for k in (1, 2, 4)},
+        **{f"forced-{k}-into-cycle": partial(forced_chain, k, True) for k in (1, 3)},
+    )
+
+    @staticmethod
+    def _warns(chain, n, caplog) -> bool:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="worddp.markov"):
+            privatize_markov_offline(chain, next(chain.feasible_words(n)),
+                                     MechanismConfig(epsilon=1.0, k=1), make_rng(0))
+        return any("no privacy" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_warns_iff_the_start_has_one_word(self, name, caplog):
+        structure = self.CHAINS[name]()
+        for start in range(structure.n_states):
+            chain = structure.with_initial(start)
+            for n in range(1, 7):
+                alone = chain.count_feasible_words(n) == 1
+                assert self._warns(chain, n, caplog) == alone, (start, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 9])
+    def test_a_forced_prefix_warns_up_to_its_length(self, k, caplog):
+        chain = forced_chain(k)
+        assert [chain.count_feasible_words(n) for n in (k, k + 1)] == [1, 2]
+        assert self._warns(chain, k, caplog)
+        assert not self._warns(chain, k + 1, caplog)
 
 
 class TestMatchesLoopReference:
