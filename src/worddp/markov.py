@@ -85,7 +85,9 @@ class InfeasibleWordError(ValueError):
     """A word uses a transition the chain assigns zero probability."""
 
     def __init__(self, position: int, from_token: str, to_token: str):
-        self.position, self.from_token, self.to_token = position, from_token, to_token
+        self.position = position
+        self.from_token = from_token
+        self.to_token = to_token
         super().__init__(
             f"infeasible transition at position {position}: "
             f"{from_token!r} -> {to_token!r} has zero probability"
@@ -143,17 +145,13 @@ class MarkovChain:
             tuple(self._edges[a:b]) for a, b in zip(bounds, bounds[1:])
         ]
         self._successor_sets = [frozenset(s) for s in self._successors]
-        # each state's run of forced steps, the states from it on with one
-        # successor; a run into a forced cycle meets its own inf marks
-        forced = self._forced = [None if len(s) == 1 else 0 for s in self._successors]
-        for state in range(m):
-            path = []
-            while forced[state] is None:
-                path.append(state)
-                forced[state], state = inf, self._successors[state][0]
-            run = forced[state]
-            for p in reversed(path):
-                run = forced[p] = run + 1
+        # each state's run of forced steps (one successor each), by pointer
+        # jumping over 2**K > m states: only a run into a forced cycle reaches m
+        single = sizes == 1
+        runs, ahead = single * 1.0, np.where(single, cols[self._firsts], np.arange(m))
+        for _ in range(m.bit_length()):
+            runs, ahead = runs + runs[ahead], ahead[ahead]
+        self._forced = np.where(runs < m, runs, inf).tolist()
         # the last input word's mc-offline plan, shared by every start
         self._word_plans: dict[tuple[int, ...], _WordPlan] = {}
         # word length -> walk counts from each state, which no input word changes
@@ -661,7 +659,9 @@ class MarkovOnlinePolicy:
 
     def __init__(self, chain: MarkovChain, epsilon: float, k: int):
         _check_params(epsilon, k)
-        self.chain, self.epsilon, self.k = chain, epsilon, k
+        self.chain = chain
+        self.epsilon = epsilon
+        self.k = k
         self._decay = exp(-epsilon / k)
         # previous output -> (its successors, CDF row per true state)
         self._table: dict[int, tuple[tuple[int, ...], list[list[float]]]] = {}

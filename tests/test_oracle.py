@@ -454,9 +454,8 @@ def _step_factors(chain, word, eps, k):
     w = exp(-eps / (2.0 * k))
     blocks = list(_WordPlan(chain, word)._running_sums(w))[::-1]
     totals = np.concatenate([cum[:, -1] for cum in blocks])
-    betas, factors = np.vstack([totals / totals.max(axis=1, keepdims=True),
-                                np.ones(chain.n_states)]), []
-    sizes = [len(s) for s in chain._successors]
+    betas = np.vstack([totals / totals.max(axis=1, keepdims=True), np.ones(chain.n_states)])
+    factors, sizes = [], [len(s) for s in chain._successors]
     for i, target in enumerate(word.symbols):
         weight = np.where(chain._targets == target, 1.0, w) * betas[i + 1][chain._targets]
         factors.append(weight / np.repeat(np.add.reduceat(weight, chain._firsts), sizes))
