@@ -44,7 +44,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
-from math import exp, inf
+from math import exp, frexp, inf
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -135,8 +135,8 @@ class MarkovChain:
         sizes = np.bincount(rows, minlength=m)
         self._targets, self._firsts, self._sources = cols, sizes.cumsum() - sizes, rows
         # each edge's flat cell in a rank-major (rank, state) grid padded with m
-        self._cells = (np.arange(len(cols)) - self._firsts[rows]) * m + rows
-        self._grid = np.full((sizes.max(), m), m)
+        self._cells = (np.arange(len(cols)) - self._firsts[rows]) * (m + 1) + rows
+        self._grid = np.full((sizes.max(), m + 1), m)
         self._grid.flat[self._cells] = cols
         bounds, self._edges = self._firsts.tolist() + [len(cols)], cols.tolist()
         # each state's span of edges, without its last one
@@ -440,23 +440,22 @@ class _WordPlan:
     P(y) proportional to ``w**d(x, y)`` with ``w = exp(-epsilon/(2k))``, by
     backward messages and a forward walk: with ``beta[n] = 1`` and
     ``beta[i](s)`` the sum over the successors ``t`` of ``s`` of
-    ``w**[t != x_i] * beta[i+1](t)`` (scaled to a largest entry of 1), the
-    walk steps from ``s`` to ``t`` in proportion to that term.  One backward
-    pass gathers each position's terms through the chain's rank-major
-    successor grid and takes their running sums along the rank axis, which
-    add each state's terms in successor order (a pairwise sum would change
-    the low bits); over each state's total, the last, they are one
-    ``array('d')`` per position, laid out as the chain's edges.  A step
-    searches its state's span without the last boundary, so the last
-    successor takes the rounding gap below 1, and a successor of zero
-    weight is never drawn.  Every start shares the rows, all built before
-    the first walk: a release changes nothing.
+    ``w**[t != x_i] * beta[i+1](t)``, the walk steps from ``s`` to ``t`` in
+    proportion to that term.  No level is normalized: the input's path keeps
+    a beta of at least 1, and a level multiplies the largest by at most R,
+    the largest successor count, so every ``1000 // R.bit_length()`` levels
+    a power of two, exact in every row, brings it into [0.5, 1); past about
+    two rescales, states a walk reaches may underflow beside those it cannot
+    enter.  A position's rows, its running sums over each state's total, are
+    one ``array('d')`` laid out as the chain's edges; a step searches its
+    state's span without the last boundary, so the last successor takes the
+    rounding gap below 1 and a zero-weight successor is never drawn.  Every
+    start shares the rows, all built before the first walk.
     """
 
     def __init__(self, chain: MarkovChain, word: Word):
         self._n, self._symbols = len(word), word.symbols
         self._grid, self._cells, self._sources = chain._grid, chain._cells, chain._sources
-        # (epsilon, k) -> the CDF rows of every position, see _levels
         self._cdfs: OrderedDict[tuple[float, int], list[array]] = OrderedDict()
 
     def cdfs(self, epsilon: float, k: int) -> list[array]:
@@ -473,26 +472,27 @@ class _WordPlan:
             edges = cum.reshape(len(cum), -1).take(self._cells, axis=1)
             totals = cum[:, -1].take(self._sources, axis=1)
             # a state no walk enters at this position may have total 0
-            rows = np.divide(edges, totals, out=np.ones_like(edges), where=totals > 0)
+            rows = np.divide(edges, totals, out=edges) if totals.all() else np.divide(
+                edges, totals, out=np.ones_like(edges), where=totals > 0)
             blocks.append([array("d", row.tobytes()) for row in rows])
         return [row for block in reversed(blocks) for row in block]
 
     def _running_sums(self, w: float) -> Iterator[np.ndarray]:
         """The one backward pass: per block of about 2**16 grid cells, last
-        first, the (position, rank, state) running sums of the terms; a
-        position's last rank is its beta before scaling."""
+        first, the (position, rank, state) running sums of the terms, each
+        state's in successor order (a pairwise sum would change the low bits);
+        a position's last rank is its beta, and 0 in the padding column."""
         grid, step = self._grid, max(1, (1 << 16) // self._grid.size)
-        # the beta the next step back reads, and 0 for padded cells
-        beta = np.append(np.ones(grid.shape[1]), 0.0)
-        scaled = beta[:-1]
+        period = 1000 // grid.shape[0].bit_length()
+        beta = np.append(np.ones(grid.shape[1] - 1), 0.0)
         for start in reversed(range(0, self._n, step)):
-            targets = self._symbols[start:start + step]
-            cum = np.empty((len(targets), *grid.shape))
-            for out, target in zip(cum[::-1], reversed(targets)):
-                weight = beta * w
+            cum = np.empty((min(step, self._n - start), *grid.shape))
+            for i in reversed(range(start, start + len(cum))):
+                weight, target = beta * w, self._symbols[i]
                 weight[target] = beta[target]
-                total = np.add.accumulate(weight.take(grid), out=out)[-1]
-                np.divide(total, np.maximum.reduce(total), out=scaled)
+                beta = np.add.accumulate(weight.take(grid), out=cum[i - start])[-1]
+                if (self._n - i) % period == 0:
+                    beta = np.ldexp(beta, -frexp(beta.max())[1])
             yield cum
 
 

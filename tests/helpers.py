@@ -153,14 +153,17 @@ def loop_plan_rows(chain: MarkovChain, word: Word, epsilon: float, k: int) -> li
     one position at a time on a padded (state, successor rank) grid: from
     the last position, each state's successor weights ``w**[t != x_i] *
     beta[i+1](t)``, their cumulative sum along each state's row, whose last
-    column is ``beta[i]`` before scaling, and the sums over that total, laid
-    out as the chain's edges."""
+    column is ``beta[i]``, and the sums over that total, laid out as the
+    chain's edges.  No level is normalized: after every ``1000 //
+    R.bit_length()`` levels, with ``R`` the largest successor count, beta is
+    scaled by the power of two that brings its largest entry into [0.5, 1)."""
     sizes = np.array([len(succ) for succ in chain._successors])
     grid = np.arange(sizes.max()) < sizes[:, None]
     targets = np.array([t for succ in chain._successors for t in succ])
+    period = 1000 // int(sizes.max()).bit_length()
     w = exp(-epsilon / (2.0 * k))
     beta, levels = np.ones(chain.n_states), []
-    for target in reversed(word.symbols):
+    for done, target in enumerate(reversed(word.symbols), 1):
         weight = beta * w
         weight[target] = beta[target]
         pad = np.zeros(grid.shape)
@@ -169,7 +172,9 @@ def loop_plan_rows(chain: MarkovChain, word: Word, epsilon: float, k: int) -> li
         totals = cum[:, -1:]
         rows = np.divide(cum, totals, out=np.ones_like(cum), where=totals > 0)
         levels.append(rows[grid].tobytes())
-        beta = cum[:, -1] / cum[:, -1].max()
+        beta = cum[:, -1]
+        if done % period == 0:
+            beta = np.ldexp(beta, -np.frexp(beta.max())[1])
     return levels[::-1]
 
 

@@ -1091,6 +1091,37 @@ class TestWordPlan:
         assert peak <= 10.89e6
 
 
+def two_component_chain() -> MarkovChain:
+    """S goes to C or D, and C and D each go to C or D; beside them sits a
+    complete 30-state component that no walk from S enters."""
+    matrix = np.zeros((33, 33))
+    matrix[:3, 1:3] = 0.5
+    matrix[3:, 3:] = 1 / 30
+    return MarkovChain(["S", "C", "D"] + [f"k{i}" for i in range(30)], matrix, "S")
+
+
+class TestUnreachableComponent:
+    """The backward messages are scaled only by a power of two every ``1000
+    // R.bit_length()`` levels, so the states a walk reaches keep their
+    weight beside a faster-growing component it never enters."""
+
+    @pytest.mark.parametrize("n", [300, 400])
+    def test_zero_budget_is_uniform_on_the_reachable_words(self, n):
+        # at epsilon 0 the law is uniform on {C, D}^n.  Scaling every level
+        # to a largest entry of 1, the complete component's, sank C and D
+        # below the smallest double near the start, where every walk then
+        # took C: D's share read z = -12.7 at n = 300 and -60.9 at n = 400
+        chain = two_component_chain()
+        word = chain.word(["C"] * n)
+        cfg = MechanismConfig(epsilon=0.0, k=1)
+        is_d = np.array([privatize_markov_offline(chain, word, cfg, make_rng(seed)).symbols
+                         for seed in range(100)]) == chain.states.index("D")
+        overall = (is_d.mean() - 0.5) / np.sqrt(0.25 / is_d.size)
+        by_position = (is_d.mean(axis=0) - 0.5) / np.sqrt(0.25 / len(is_d))
+        assert abs(overall) <= 5
+        assert np.abs(by_position).max() <= 5
+
+
 class TestHistoryFreeRows:
     """A release reads its plan and changes nothing in it, so its time and
     its output do not depend on which releases came before."""

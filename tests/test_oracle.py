@@ -450,11 +450,12 @@ def _walk_inputs(chain, n):
 def _step_factors(chain, word, eps, k):
     """Per position, the walk's factor w**[t != x_i] * beta[i+1](t) / beta[i](s)
     of every edge (s, t), from the backward messages of the plan's one pass,
-    with beta[i](s) the sum of its state's terms before scaling."""
+    with beta[i](s) the sum of its state's terms (the last rank, without the
+    padding column)."""
     w = exp(-eps / (2.0 * k))
     blocks = list(_WordPlan(chain, word)._running_sums(w))[::-1]
-    totals = np.concatenate([cum[:, -1] for cum in blocks])
-    betas = np.vstack([totals / totals.max(axis=1, keepdims=True), np.ones(chain.n_states)])
+    totals = np.concatenate([cum[:, -1, :-1] for cum in blocks])
+    betas = np.vstack([totals, np.ones(chain.n_states)])
     factors, sizes = [], [len(s) for s in chain._successors]
     for i, target in enumerate(word.symbols):
         weight = np.where(chain._targets == target, 1.0, w) * betas[i + 1][chain._targets]
@@ -578,6 +579,19 @@ class TestPlanRowBits:
     def test_every_short_four_state_word(self, four_state_chain):
         words = [w for n in (1, 2, 3, 4) for w in four_state_chain.feasible_words(n)]
         self._assert_rows(four_state_chain, words)
+
+    def test_rescaled_hub_rows_stay_finite(self):
+        # the hub's 500 successors leave 111 levels between rescales, so
+        # n = 400 rescales three times; unscaled, the messages overflow at
+        # epsilon 0 and 1 before the walk's first position
+        chain = hub_chain()
+        word = walk(chain, random.Random(400), 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for eps in (0.0, 1.0, 40.0, 1e308):
+                rows = _WordPlan(chain, word).cdfs(eps, 1)
+                assert all(np.isfinite(np.frombuffer(row)).all() for row in rows), eps
+                assert [bytes(row) for row in rows] == loop_plan_rows(chain, word, eps, 1), eps
 
     @pytest.mark.parametrize("name", sorted(_walk_chains()))
     def test_loop_and_random_chains(self, name):
