@@ -19,11 +19,12 @@ reads the plan and changes nothing.  A chain keeps the plan of the last
 input word only, built by a release of that word once it is found feasible.
 Exact counts come from the packed suffix DP, which every count and every
 product automaton runs afresh and no plan holds, so counting never touches
-the release cache.  The per-symbol sampler's plan depends on public data
-only: a chain keeps one policy per recent (epsilon, k), which fills its CDF
-rows per previously released state.  A start is a parameter of the chain, not
-a copy of it: every :meth:`MarkovChain.with_initial` of a chain shares its
-structure and these caches.
+the release cache; at slot width 0 the same DP counts walks, which a chain
+keeps per recent word length.  The per-symbol sampler's plan depends on
+public data only: a chain keeps one policy per recent (epsilon, k), which
+fills its CDF rows per previously released state.  A start is a parameter of
+the chain, not a copy of it: every :meth:`MarkovChain.with_initial` of a
+chain shares its structure and these caches.
 
 Each release reads one block of n uniforms, one per symbol, which numpy
 defines to equal as many scalar draws, generator state after included; so
@@ -42,11 +43,11 @@ from array import array
 from bisect import bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, islice, repeat
 from math import exp, frexp, inf
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,10 +131,10 @@ class MarkovChain:
         self.matrix = mat
         self.initial = self._state_index(initial)
         # one pass in row-major order, successors ascending: the chain's edges,
-        # which _count_walks and the mc-offline rows read as arrays
+        # which the mc-offline rows read as arrays
         rows, cols = np.nonzero(mat > 0)
         sizes = np.bincount(rows, minlength=m)
-        self._targets, self._firsts, self._sources = cols, sizes.cumsum() - sizes, rows
+        self._firsts, self._sources = sizes.cumsum() - sizes, rows
         # each edge's flat cell in a rank-major (rank, state) grid padded with m
         self._cells = (np.arange(len(cols)) - self._firsts[rows]) * (m + 1) + rows
         self._grid = np.full((sizes.max(), m + 1), m)
@@ -238,14 +239,21 @@ class MarkovChain:
         return self._walk_counts(n)[self.initial]
 
     def _walk_counts(self, n: int) -> list[int]:
-        """:func:`_count_walks`, kept for the ``_ONLINE_POLICY_LIMIT`` most
-        recent lengths: one DP per chain structure and length serves every start."""
+        """Exact length-``n`` walk counts from each state, :func:`_suffix_rows`
+        at slot width 0, kept for the ``_ONLINE_POLICY_LIMIT`` most recent
+        lengths: one DP per chain structure and length serves every start."""
         return _cached(self._walk_cache, (_integer(n, _LENGTH_MESSAGE, low=1),),
-                       partial(_count_walks, self._targets, self._firsts))
+                       lambda n: deque(self._walk_rows(n), maxlen=1)[0])
+
+    def _walk_rows(self, n: int) -> Iterator[list[int]]:
+        """Walk counts from each state, one row per length from 0 to ``n``."""
+        return _suffix_rows(self._successors, repeat(0, n), 0)
 
     def feasible_words(self, n: int) -> Iterator[Word]:
         """Enumerate feasible words of length ``n`` in successor order."""
-        _count_walks(self._targets, self._firsts, n, self.initial)
+        # the start's count never falls, so it meets the limit at each length
+        for row in islice(self._walk_rows(_integer(n, _LENGTH_MESSAGE, low=1)), 1, None):
+            _check_enumerable(row[self.initial])
         yield from _enumerate(self.states, n, self.initial,
                               lambda i, prev: ((s, s) for s in self.successors(prev)))
 
@@ -404,19 +412,6 @@ class DistanceCounts:
         return tuple(l for l, c in enumerate(self.counts) if c > 0)
 
 
-def _count_walks(targets: np.ndarray, firsts: np.ndarray, n: int,
-                 start: int | None = None) -> list[int]:
-    """Exact length-``n`` walk counts from each state, one reduceat per length;
-    a ``start``'s count, which never falls, meets the enumeration limit at each."""
-    n = _integer(n, _LENGTH_MESSAGE, low=1)
-    walks = np.ones(len(firsts), dtype=object)
-    for _ in range(n):
-        walks = np.add.reduceat(walks[targets], firsts)
-        if start is not None:
-            _check_enumerable(walks[start])
-    return walks.tolist()
-
-
 def _cached(cache: OrderedDict, key, build):
     """``cache[key]`` from an LRU cache of ``_ONLINE_POLICY_LIMIT`` entries
     (policies, walk counts and walk rows), calling ``build(*key)`` on a
@@ -496,10 +491,11 @@ class _WordPlan:
             yield cum
 
 
-def _suffix_rows(successors: list[tuple[int, ...]], symbols: tuple[int, ...],
+def _suffix_rows(successors: list[tuple[int, ...]], targets: Iterable[int],
                  width: int) -> Iterator[list[int]]:
-    """The packed suffix table of the reference word ``symbols``, one row
-    per position from n back to 0, each built from the row before it.
+    """The packed suffix table of a reference word, given by its symbols
+    last first as ``targets``: one row per position from n back to 0, each
+    built from the row before it.
 
     Row ``i``'s entry for state ``s`` packs the feasible completions from
     position ``i`` in state ``s`` into one Python int: slot ``q`` (bits
@@ -510,11 +506,12 @@ def _suffix_rows(successors: list[tuple[int, ...]], symbols: tuple[int, ...],
     building it, is at most the number of length-``n - i`` walks from ``s``,
     which never falls as the length grows (every state has a successor); so
     ``B``, the bit length of the largest number of length-``n`` walks, keeps
-    every slot exact.
+    every slot exact.  At ``B = 0`` every slot adds into one, so whatever the
+    targets, row ``i`` counts the length-``n - i`` walks from each state.
     """
     row = [1] * len(successors)
     yield row
-    for target in reversed(symbols):
+    for target in targets:
         moved = row.copy()
         moved[target] = row[target] << width
         row = [sum(map(moved.__getitem__, succ)) for succ in successors]
@@ -531,7 +528,7 @@ def feasible_distance_counts(chain: MarkovChain, word: Word) -> DistanceCounts:
     chain._check_word(word)
     n = len(word)
     width = max(chain._walk_counts(n)).bit_length()
-    packed = deque(_suffix_rows(chain._successors, word.symbols, width),
+    packed = deque(_suffix_rows(chain._successors, reversed(word.symbols), width),
                    maxlen=1)[0][chain.initial]
     return DistanceCounts(tuple(
         (packed >> ((n - r) * width)) & ((1 << width) - 1) for r in range(n + 1)))
@@ -561,7 +558,8 @@ class ProductDistanceAutomaton(_DistanceLanguage):
     def _table(self) -> list[list[int]]:
         """Every position's packed row, built on the first count, which the
         constructor makes once it has checked the distance."""
-        return list(_suffix_rows(self.chain._successors, self.word.symbols, self._width))[::-1]
+        return list(_suffix_rows(self.chain._successors, reversed(self.word.symbols),
+                                 self._width))[::-1]
 
     def _count(self, i: int, needed: int, state: int) -> int:
         """Feasible completions of positions ``i`` onward from ``state``

@@ -187,12 +187,17 @@ def _law_matrix(
     """Exact laws of one mechanism, one row per input word.
 
     Returns the ``[inputs x outputs]`` matrix and the output support that
-    every row shares.  Each entry is the product of the factors the
-    release takes, position by position from the left, and each row is
-    normalized by its sum.  A chain mode releases from ``chain.initial``;
-    a free mode ignores ``chain``.  A per-symbol mode reads every factor
-    from its one step table (:func:`_step_table`), and ``break_tau`` puts
-    the negative control's in its place; a whole-word mode ignores it.
+    every row shares, each row normalized by its sum.  A chain mode
+    releases from ``chain.initial``; a free mode ignores ``chain``.  In the
+    per-symbol modes and the free whole-word mode, each entry is the
+    product of the factors the release takes, position by position from
+    the left.  A per-symbol mode reads every factor from its one step table
+    (:func:`_step_table`), and ``break_tau`` puts the negative control's in
+    its place; a whole-word mode ignores it.  The chain's whole-word mode
+    instead takes the exact class law from :func:`feasible_distance_counts`,
+    not the float CDF rows its release searches: for ``mc-offline``,
+    :func:`verify_dp` certifies the mathematics, not the rows that run,
+    where a successor may get an interval of width 0 (ROADMAP item 21).
     """
     alphabet, chain, _ = resolve_mode(kind, inputs[0].alphabet, chain)
     for word in inputs if chain else ():

@@ -343,6 +343,17 @@ class TestFeasibility:
             next(complete_chain(4).feasible_words(20000))
         assert seen == [4**length for length in range(1, 11)]
 
+    def test_huge_length_refused_at_once_in_bounded_memory(self, storybook_chain):
+        # a sequence of n entries, or a row per length, would take gigabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="refusing to enumerate"):
+                next(storybook_chain.feasible_words(10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_cycle_chain_single_path(self):
         chain = cycle_chain()
         assert chain.count_feasible_words(5) == 1
@@ -433,12 +444,14 @@ def test_random_chain_refuses_a_single_state():
 
 @pytest.fixture
 def dp_widths(monkeypatch) -> list[int]:
-    """The slot width of every packed suffix DP run from here on."""
+    """The slot width of every packed suffix DP run from here on; the runs
+    at width 0, which count walks, are not packed and not recorded."""
     widths, dp = [], markov._suffix_rows
 
-    def recording(successors, symbols, width):
-        widths.append(width)
-        return dp(successors, symbols, width)
+    def recording(successors, targets, width):
+        if width:
+            widths.append(width)
+        return dp(successors, targets, width)
 
     monkeypatch.setattr(markov, "_suffix_rows", recording)
     return widths
@@ -897,13 +910,15 @@ class TestSlotWidthCache:
 
     def test_walk_counts_run_once_per_length(self, storybook_chain, monkeypatch):
         calls = []
-        walks = markov._count_walks
+        dp = markov._suffix_rows
 
-        def counting(targets, firsts, n, start=None):
-            calls.append(n)
-            return walks(targets, firsts, n, start)
+        def counting(successors, targets, width):
+            if width == 0:  # a walk count, of as many lengths as targets
+                targets = list(targets)
+                calls.append(len(targets))
+            return dp(successors, targets, width)
 
-        monkeypatch.setattr(markov, "_count_walks", counting)
+        monkeypatch.setattr(markov, "_suffix_rows", counting)
         source = MarkovChain(storybook_chain.states, storybook_chain.matrix)
         starts = [source.with_initial(s) for s in ("anywhere", "green", "could")]
         rnd = random.Random(20)
@@ -1185,8 +1200,7 @@ class TestSharedStructure:
         moved = chain.with_initial("s2")
         assert (moved.initial, chain.initial) == (2, 0)
         for name in ("states", "matrix", "_successors", "_successor_sets",
-                     "_targets", "_firsts", "_grid", "_cells", "_sources", "_edges",
-                     "_lo", "_hi",
+                     "_firsts", "_grid", "_cells", "_sources", "_edges", "_lo", "_hi",
                      "_word_plans", "_walk_cache", "_online_policies"):
             assert getattr(moved, name) is getattr(chain, name), name
         fresh = MarkovChain(chain.states, chain.matrix, "s2")

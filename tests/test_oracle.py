@@ -457,8 +457,9 @@ def _step_factors(chain, word, eps, k):
     totals = np.concatenate([cum[:, -1, :-1] for cum in blocks])
     betas = np.vstack([totals, np.ones(chain.n_states)])
     factors, sizes = [], [len(s) for s in chain._successors]
+    targets = np.array(chain._edges)
     for i, target in enumerate(word.symbols):
-        weight = np.where(chain._targets == target, 1.0, w) * betas[i + 1][chain._targets]
+        weight = np.where(targets == target, 1.0, w) * betas[i + 1][targets]
         factors.append(weight / np.repeat(np.add.reduceat(weight, chain._firsts), sizes))
     return factors
 
@@ -793,6 +794,45 @@ class TestPerSymbolFloatBoundary:
         cfg = MechanismConfig(epsilon=17.0, k=1, seed=0)
         report = verify_dp(kind, n=3, config=cfg, alphabet=AB3, chain=four_state_chain)
         assert report.passed
+
+
+class TestMarkovOfflineFloatRows:
+    """The ``mc-offline`` release searches float CDF rows, where a successor
+    whose share is below about 2**-53 of its row gets an interval of width
+    0 and is never drawn, though a neighbouring input may draw the same
+    output.  The oracle certifies the exact class law, not those rows."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the oracle reads the exact class law, not the rows the release "
+        "searches, which give 54 feasible (x, y) pairs an interval of width 0 "
+        "(ROADMAP item 21)",
+    )
+    def test_verify_fails_the_rows_that_run_at_40(self, four_state_chain):
+        cfg = MechanismConfig(epsilon=40.0, k=1, seed=0)
+        report = verify_dp("mc-offline", n=3, config=cfg, alphabet=AB3,
+                           chain=four_state_chain)
+        assert not report.passed
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the rows give y probability 0 under x and 3.45e-31 under x', an "
+        "unbounded loss as run; needs an exact sampler (ROADMAP item 8)",
+    )
+    def test_neighbours_both_release_the_storybook_output(self, storybook_chain):
+        chain = storybook_chain.with_initial("anywhere")
+        x = "I like green eggs and ham thank you eat them with a box or there".split()
+        neighbour = x[:6] + ["there"] + x[7:]
+        y = chain.word("I say Sam I will let me be I say I say I say I".split())
+
+        def as_run(tokens):
+            cdfs = _WordPlan(chain, chain.word(tokens)).cdfs(10.0, 1)
+            return _walk_law(chain, [y], _interval(chain, cdfs))[0]
+
+        assert as_run(neighbour) > 0
+        assert as_run(x) > 0
 
 
 class TestNegativeControl:
